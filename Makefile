@@ -7,8 +7,12 @@ all: build
 build:
 	$(GO) build ./...
 
+# go vet, then gofmt -l over every Go file outside hidden directories: any
+# output fails.
 vet:
 	$(GO) vet ./...
+	@out=$$(find . -path './.*' -prune -o -name '*.go' -print | xargs gofmt -l); \
+	if [ -n "$$out" ]; then echo "gofmt -l: unformatted files:"; echo "$$out"; exit 1; fi
 
 # Tier-1: what must stay green on every change (~6 min; -short for ~20 s).
 test: build

@@ -90,7 +90,7 @@ type summary struct {
 	// explain_overhead_pct's price of the batch capture artifacts.
 	LiveSinkOverheadPct float64       `json:"live_sink_overhead_pct"`
 	SimAllocs           []allocResult `json:"sim_kernel_allocs"`
-	KernelBench        []kernelBench `json:"kernel_vs_oracle"`
+	KernelBench         []kernelBench `json:"kernel_vs_oracle"`
 }
 
 // timedRunAll regenerates the full report with the given pool size and

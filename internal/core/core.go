@@ -42,7 +42,8 @@ type Action struct {
 	Resubmit []*task.Task
 }
 
-// Ctx gives handlers access to their execution context.
+// Ctx gives handlers access to their execution context. A worker passes
+// the same Ctx to every handler call it makes; handlers must not modify it.
 type Ctx struct {
 	Env      *sim.Env
 	Runtime  *Runtime

@@ -17,14 +17,33 @@ const (
 	maxBackoff = 2 * sim.Millisecond
 )
 
-// request is the demand message a consumer sends upstream: it names the
-// device class that triggered it (Section 5.3.2) so DBSA can select the
-// best-suited data buffer.
-type request struct {
+// fetch is one demand round of Algorithm 3 — the request a consumer sends
+// upstream and the reply it waits for — and the record both sides run the
+// round on. The request names the device class that triggered it (Section
+// 5.3.2) so DBSA can select the best-suited data buffer.
+//
+// Stackless requesters pool their records (reqLoop.free), reply channel
+// included, and every step of the round — demand send, request hand-off,
+// reply wait, settle, and the sender's reply transmission — is a method
+// value bound when the record is created, so a round allocates nothing in
+// steady state. The blocking reference flavour builds a fresh record per
+// round.
+type fetch struct {
+	l        *reqLoop
 	kind     hw.Kind
 	from     *hw.Node
 	fromInst int // consumer instance index (labeled-stream partitioning)
 	reply    *sim.Chan[reply]
+
+	snd  *sender  // the producer this round demands from
+	t0   sim.Time // issue time: the request latency DQAA observes starts here
+	next sim.Step // run after settling: DoneStep, or the serial requester's loop
+	rep  reply    // sender side: the answer in transmission
+
+	// Steps of the round, bound once when the record is created.
+	demandStep, handoffStep, awaitStep sim.Step
+	transmitStep, deliverStep          sim.Step
+	settleStep                         func(*sim.Env, reply, bool) sim.Cont
 }
 
 // reply carries a data buffer, an empty NACK (t == nil), or end-of-stream.
@@ -42,8 +61,11 @@ type sender struct {
 	name  string // proc name, precomputed at construction
 	queue *policy.Queue
 	parts []*policy.Queue // per-consumer partitions (labeled streams only)
-	reqCh *sim.Chan[*request]
+	reqCh *sim.Chan[*fetch]
 	gen   *generator // non-nil for lazy source filters
+	// onRequest is gotRequest, bound once: the stackless serve loop's wait
+	// continuation.
+	onRequest func(*sim.Env, *fetch, bool) sim.Cont
 }
 
 // generator is the on-demand production state of a lazy source instance.
@@ -104,7 +126,7 @@ func (s *sender) refill(now sim.Time) {
 // popFor pops the best buffer for the requesting device class (and, on
 // labeled streams, the requesting instance's partition), maintaining the
 // generator's fresh-buffer accounting.
-func (s *sender) popFor(req *request) *task.Task {
+func (s *sender) popFor(req *fetch) *task.Task {
 	q, pi := s.queue, -1
 	if s.parts != nil {
 		pi = req.fromInst % len(s.parts)
@@ -133,7 +155,7 @@ func (s *sender) popFor(req *request) *task.Task {
 // the reply — a data buffer, an empty NACK, or EOF once the job completed.
 // It is the serial, non-blocking half of ThreadBufferSender (it mutates the
 // SendQueue), shared by both process flavours.
-func (s *sender) answer(now sim.Time, req *request) reply {
+func (s *sender) answer(now sim.Time, req *fetch) reply {
 	s.refill(now)
 	if t := s.popFor(req); t != nil {
 		s.inst.f.out.stats.sent++
@@ -167,14 +189,14 @@ func (rep reply) wireSize() int64 {
 func (s *sender) run(e *sim.Env) {
 	rt := s.inst.rt
 	for {
-		req, ok := s.reqCh.Get(e)
+		f, ok := s.reqCh.Get(e)
 		if !ok {
 			return
 		}
-		rep := s.answer(e.Now(), req)
+		rep := s.answer(e.Now(), f)
 		e.Spawn("send", func(se *sim.Env) {
-			rt.Cluster.Net.Send(se, s.inst.node, req.from, rep.wireSize())
-			req.reply.Put(se, rep)
+			rt.Cluster.Net.Send(se, s.inst.node, f.from, rep.wireSize())
+			f.reply.Put(se, rep)
 		})
 	}
 }
@@ -182,38 +204,49 @@ func (s *sender) run(e *sim.Env) {
 // runStep is the stackless ThreadBufferSender: the same serve loop as run,
 // but waiting for the next request arms a continuation on the request
 // channel instead of parking a coroutine, and each reply transmission is a
-// spawned step chain (NIC serialization, then the reply hand-off). Requests
-// already queued are drained inline without yielding, exactly as the
-// blocking loop's non-blocking Get does.
+// spawned step chain on the round's fetch record (NIC serialization, then
+// the reply hand-off). Requests already queued are drained inline without
+// yielding, exactly as the blocking loop's non-blocking Get does.
 func (s *sender) runStep(e *sim.Env) sim.Cont {
 	for {
-		req, ok := s.reqCh.TryGet()
+		f, ok := s.reqCh.TryGet()
 		if !ok {
 			if s.reqCh.Closed() {
 				return sim.Done()
 			}
-			return s.reqCh.GetThen(e, func(e *sim.Env, req *request, ok bool) sim.Cont {
-				if !ok {
-					return sim.Done()
-				}
-				s.serve(e, req)
-				return s.runStep(e)
-			})
+			return s.reqCh.GetThen(e, s.onRequest)
 		}
-		s.serve(e, req)
+		s.serve(e, f)
 	}
 }
 
-// serve answers one request and spawns the step chain transmitting the
-// reply: network send, then the hand-off into the requester's reply channel.
-func (s *sender) serve(e *sim.Env, req *request) {
-	rep := s.answer(e.Now(), req)
-	net := s.inst.rt.Cluster.Net
-	e.SpawnStep("send", func(se *sim.Env) sim.Cont {
-		return net.SendThen(se, s.inst.node, req.from, rep.wireSize(), func(se *sim.Env) sim.Cont {
-			return req.reply.PutThen(se, rep, sim.DoneStep)
-		})
-	})
+// gotRequest resumes the serve loop with a request that arrived while it
+// waited.
+func (s *sender) gotRequest(e *sim.Env, f *fetch, ok bool) sim.Cont {
+	if !ok {
+		return sim.Done()
+	}
+	s.serve(e, f)
+	return s.runStep(e)
+}
+
+// serve answers one request and spawns the round's reply transmission.
+func (s *sender) serve(e *sim.Env, f *fetch) {
+	f.rep = s.answer(e.Now(), f)
+	e.SpawnStep("send", f.transmitStep)
+}
+
+// transmit ships the reply back over the network (sender side).
+func (f *fetch) transmit(se *sim.Env) sim.Cont {
+	return f.l.rt.Cluster.Net.SendThen(se, f.snd.inst.node, f.from, f.rep.wireSize(), f.deliverStep)
+}
+
+// deliver hands the transmitted reply into the requester's reply channel.
+// The sender is done with the record once the put returns.
+func (f *fetch) deliver(se *sim.Env) sim.Cont {
+	rep := f.rep
+	f.rep = reply{}
+	return f.reply.PutThen(se, rep, sim.DoneStep)
 }
 
 // runPush implements the push-based stream the paper excludes: drain the
@@ -408,8 +441,9 @@ func newInstance(rt *Runtime, f *Filter, idx int, node *hw.Node) *Instance {
 			inst:  inst,
 			name:  fmt.Sprintf("%s/%d/sender", f.Name(), idx),
 			queue: policy.NewQueue(f.out.pol.Sender),
-			reqCh: sim.NewChan[*request](rt.K, 1024),
+			reqCh: sim.NewChan[*fetch](rt.K, 1024),
 		}
+		inst.out.onRequest = inst.out.gotRequest
 		if f.out.labelFn != nil {
 			inst.out.parts = make([]*policy.Queue, len(f.out.to.spec.Placement))
 			for i := range inst.out.parts {
@@ -705,6 +739,16 @@ func (w *worker) popBatch(e *sim.Env, n int) ([]*task.Task, []*reqState, []int) 
 // in asynchronous mode batch events through the transfer pipeline, with the
 // batch size driven by Algorithm 1's controller.
 func (w *worker) run(e *sim.Env) {
+	// Every field of the handler context is fixed for the worker's
+	// lifetime, so one context serves all of its handler calls.
+	ctx := &Ctx{
+		Env:      e,
+		Runtime:  w.inst.rt,
+		Filter:   w.inst.f.Name(),
+		Node:     w.inst.node,
+		Kind:     w.kind,
+		Instance: w.inst.idx,
+	}
 	for {
 		if w.kind == hw.GPU && w.exec.Async {
 			batch, states, qis := w.popBatch(e, w.ctrl.Concurrent())
@@ -725,7 +769,7 @@ func (w *worker) run(e *sim.Env) {
 			for i, t := range batch {
 				w.afterProcess(e, states[i], perEvent)
 				w.noteService(qis[i], t, perEvent)
-				w.finish(e, t, start)
+				w.finish(ctx, t, start)
 			}
 			if dur > 0 {
 				before := w.ctrl.Concurrent()
@@ -752,7 +796,7 @@ func (w *worker) run(e *sim.Env) {
 			dur := e.Now() - start
 			w.afterProcess(e, st, dur)
 			w.noteService(qi, t, dur)
-			w.finish(e, t, start)
+			w.finish(ctx, t, start)
 		}
 	}
 }
@@ -782,16 +826,8 @@ func (w *worker) afterProcess(e *sim.Env, st *reqState, timeToProcess sim.Time) 
 }
 
 // finish runs the application handler and applies its action.
-func (w *worker) finish(e *sim.Env, t *task.Task, start sim.Time) {
-	rt := w.inst.rt
-	ctx := &Ctx{
-		Env:      e,
-		Runtime:  rt,
-		Filter:   w.inst.f.Name(),
-		Node:     w.inst.node,
-		Kind:     w.kind,
-		Instance: w.inst.idx,
-	}
+func (w *worker) finish(ctx *Ctx, t *task.Task, start sim.Time) {
+	rt, e := w.inst.rt, ctx.Env
 	act := w.inst.f.spec.Handler(ctx, t)
 	now := e.Now()
 	for _, o := range act.Forward {
@@ -886,6 +922,11 @@ type reqLoop struct {
 	backoff     sim.Time
 	emptyStreak int
 	eof         bool
+
+	// Stackless flavour only: the issue loop and the backoff timer's
+	// continuation, bound once, and the pool of finished fetch records.
+	loopStep, backoffStep sim.Step
+	free                  []*fetch
 }
 
 func (w *worker) newReqLoop(qi int) *reqLoop {
@@ -967,32 +1008,71 @@ func (l *reqLoop) settle(fe *sim.Env, t0 sim.Time, rep reply, ok bool) {
 	inst.demand.NotifyAll() // let the issuing loop reassess
 }
 
+// newFetch builds a fetch record for a round demanding from snd, with its
+// own reply channel and its steps bound.
+func (l *reqLoop) newFetch(snd *sender) *fetch {
+	f := &fetch{
+		l: l, kind: l.w.kind, from: l.inst.node, fromInst: l.inst.idx,
+		reply: sim.NewChan[reply](l.rt.K, 1), snd: snd,
+	}
+	f.demandStep, f.handoffStep, f.awaitStep = f.demand, f.handoff, f.await
+	f.transmitStep, f.deliverStep, f.settleStep = f.transmit, f.deliver, f.settled
+	return f
+}
+
 // fetchBlocking runs one fetch protocol round in a blocking process: ship
 // the demand message, hand the request to the sender, wait for the reply.
 func (l *reqLoop) fetchBlocking(fe *sim.Env, snd *sender) {
-	t0 := fe.Now()
-	replyCh := sim.NewChan[reply](l.rt.K, 1)
+	f := l.newFetch(snd)
+	f.t0 = fe.Now()
 	l.rt.Cluster.Net.Send(fe, l.inst.node, snd.inst.node, ctrlMsgBytes)
-	snd.reqCh.Put(fe, &request{kind: l.w.kind, from: l.inst.node, fromInst: l.inst.idx, reply: replyCh})
-	rep, ok := replyCh.Get(fe)
-	l.settle(fe, t0, rep, ok)
+	snd.reqCh.Put(fe, f)
+	rep, ok := f.reply.Get(fe)
+	l.settle(fe, f.t0, rep, ok)
 }
 
-// fetchStep is the continuation form of fetchBlocking: the same protocol
-// round as a step chain — demand message on the wire, request hand-off,
-// reply wait, settle — then next.
-func (l *reqLoop) fetchStep(fe *sim.Env, snd *sender, next sim.Step) sim.Cont {
-	t0 := fe.Now()
-	replyCh := sim.NewChan[reply](l.rt.K, 1)
-	return l.rt.Cluster.Net.SendThen(fe, l.inst.node, snd.inst.node, ctrlMsgBytes, func(fe *sim.Env) sim.Cont {
-		req := &request{kind: l.w.kind, from: l.inst.node, fromInst: l.inst.idx, reply: replyCh}
-		return snd.reqCh.PutThen(fe, req, func(fe *sim.Env) sim.Cont {
-			return replyCh.GetThen(fe, func(fe *sim.Env, rep reply, ok bool) sim.Cont {
-				l.settle(fe, t0, rep, ok)
-				return next(fe)
-			})
-		})
-	})
+// startFetch takes a pooled record (or a new one) for a stackless round
+// demanding from snd that runs next once settled. The round starts when
+// the record's demand step runs.
+func (l *reqLoop) startFetch(snd *sender, next sim.Step) *fetch {
+	var f *fetch
+	if n := len(l.free); n > 0 {
+		f = l.free[n-1]
+		l.free[n-1] = nil
+		l.free = l.free[:n-1]
+		f.snd = snd
+	} else {
+		f = l.newFetch(snd)
+	}
+	f.next = next
+	return f
+}
+
+// demand is the stackless form of fetchBlocking's round, one step per
+// blocking point: the demand message on the wire, then handoff, await and
+// settled.
+func (f *fetch) demand(fe *sim.Env) sim.Cont {
+	f.t0 = fe.Now()
+	return f.l.rt.Cluster.Net.SendThen(fe, f.from, f.snd.inst.node, ctrlMsgBytes, f.handoffStep)
+}
+
+func (f *fetch) handoff(fe *sim.Env) sim.Cont {
+	return f.snd.reqCh.PutThen(fe, f, f.awaitStep)
+}
+
+func (f *fetch) await(fe *sim.Env) sim.Cont {
+	return f.reply.GetThen(fe, f.settleStep)
+}
+
+// settled applies the reply and returns the record to the requester's pool:
+// the sender let go of it when its reply put returned, and the reply
+// channel is empty again.
+func (f *fetch) settled(fe *sim.Env, rep reply, ok bool) sim.Cont {
+	l, next := f.l, f.next
+	l.settle(fe, f.t0, rep, ok)
+	f.snd, f.next = nil, nil
+	l.free = append(l.free, f)
+	return next(fe)
 }
 
 // requester is the blocking reference flavour of ThreadRequester
@@ -1048,41 +1128,44 @@ func (w *worker) requesterStep(e *sim.Env, qi int) sim.Cont {
 	if len(l.senders) == 0 {
 		return sim.Done()
 	}
-	st, inst, rt := l.st, l.inst, l.rt
-	var loop sim.Step
-	loop = func(e *sim.Env) sim.Cont {
-		for !rt.track.done.Fired() && !l.eof && !inst.dead {
-			if st.requestSize >= w.targetFor(st) {
-				return inst.demand.WaitThen(e, loop)
-			}
-			if l.emptyStreak >= len(l.senders) {
-				l.emptyStreak = 0
-				return sim.After(l.backoff, func(e *sim.Env) sim.Cont {
-					if l.backoff < maxBackoff {
-						l.backoff *= 2
-					}
-					return loop(e)
-				})
-			}
-			snd := l.pick()
-			if snd == nil {
-				continue
-			}
-			st.requestSize++ // in transit counts toward the target
-			w.noteDemand(e.Now(), qi, DemandIssued, st.requestSize)
-			if rt.tun.SerialRequester {
-				// Ablation: the fetch chains on this process itself, then
-				// resumes the loop — the literal synchronous Algorithm 3.
-				return l.fetchStep(e, snd, loop)
-			}
-			e.SpawnStep(w.fetchName, func(fe *sim.Env) sim.Cont {
-				return l.fetchStep(fe, snd, sim.DoneStep)
-			})
-			// After(0) is the step-world Yield: the just-spawned fetch runs
-			// (deterministically) before the next issue decision.
-			return sim.After(0, loop)
+	l.loopStep, l.backoffStep = l.loop, l.backedOff
+	return l.loop(e)
+}
+
+// loop is one pass of the stackless issue loop.
+func (l *reqLoop) loop(e *sim.Env) sim.Cont {
+	w, st, inst, rt := l.w, l.st, l.inst, l.rt
+	for !rt.track.done.Fired() && !l.eof && !inst.dead {
+		if st.requestSize >= w.targetFor(st) {
+			return inst.demand.WaitThen(e, l.loopStep)
 		}
-		return sim.Done()
+		if l.emptyStreak >= len(l.senders) {
+			l.emptyStreak = 0
+			return sim.After(l.backoff, l.backoffStep)
+		}
+		snd := l.pick()
+		if snd == nil {
+			continue
+		}
+		st.requestSize++ // in transit counts toward the target
+		w.noteDemand(e.Now(), l.qi, DemandIssued, st.requestSize)
+		if rt.tun.SerialRequester {
+			// Ablation: the fetch chains on this process itself, then
+			// resumes the loop — the literal synchronous Algorithm 3.
+			return l.startFetch(snd, l.loopStep).demand(e)
+		}
+		e.SpawnStep(w.fetchName, l.startFetch(snd, sim.DoneStep).demandStep)
+		// After(0) is the step-world Yield: the just-spawned fetch runs
+		// (deterministically) before the next issue decision.
+		return sim.After(0, l.loopStep)
 	}
-	return loop(e)
+	return sim.Done()
+}
+
+// backedOff resumes the issue loop when the empty-cycle backoff expires.
+func (l *reqLoop) backedOff(e *sim.Env) sim.Cont {
+	if l.backoff < maxBackoff {
+		l.backoff *= 2
+	}
+	return l.loop(e)
 }

@@ -111,6 +111,87 @@ func TestStepHelpersMatchBlockingSerialRequester(t *testing.T) {
 	compareDiffRuns(t, resBlock, traceBlock, resStep, traceStep)
 }
 
+// runLabeledDiffPipeline executes a labeled-stream pipeline under a rival
+// scheduler with the chosen helper flavour. Requests carry their consumer's
+// identity all the way to the sender's buffer selection: the instance
+// index picks the label partition and the device class ranks the
+// partition's buffers (HYBRID serves a device's own side of the speedup
+// split first). A demand round that carried a stale class, instance or
+// reply channel would pop a different buffer or deliver to the wrong
+// worker, and the hook streams would diverge.
+func runLabeledDiffPipeline(t *testing.T, blocking bool) (core.Result, *simtest.Recorder) {
+	t.Helper()
+	k := sim.NewKernel(3)
+	c := simtest.TwoNodeCluster(k)
+	rt := core.New(c, nil)
+	rt.Tun = core.Tunables{BlockingHelpers: blocking}
+	rec := simtest.Record(rt)
+
+	src := rt.AddFilter(core.FilterSpec{
+		Name:        "reader",
+		Placement:   []int{0, 1},
+		SourceCount: func(int) int { return 50 },
+		SourceMake: func(inst, i int) *task.Task {
+			speedup := 0.5 + float64((i*7+inst*3)%10)/2 // 0.5x .. 5x on the GPU
+			return &task.Task{
+				Size: 32 << 10, OutSize: 4 << 10,
+				Weight: [hw.NumKinds]float64{hw.CPU: 1, hw.GPU: speedup},
+				Cost: func(kw hw.Kind) sim.Time {
+					if kw == hw.GPU {
+						return sim.Time(float64(sim.Millisecond) / speedup)
+					}
+					return sim.Millisecond
+				},
+				Payload: i,
+			}
+		},
+	})
+	sink := rt.AddFilter(core.FilterSpec{
+		Name: "aggregate", Placement: []int{0, 1},
+		UseGPU: true, GPUWorkers: 1, CPUWorkers: 1,
+		AsyncCopy: true, MaxConcurrentCopies: 3,
+		Handler: func(ctx *core.Ctx, tk *task.Task) core.Action { return core.Action{} },
+	})
+	rt.ConnectLabeled(src, sink, rivalPolicy(t, "HYBRID"), func(tk *task.Task) uint64 {
+		return uint64(tk.Payload.(int) % 3)
+	})
+	res, err := rt.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, rec
+}
+
+// rivalPolicy looks a stream policy up in the policy registry by name.
+func rivalPolicy(t *testing.T, name string) policy.StreamPolicy {
+	t.Helper()
+	for _, c := range policy.Constructors() {
+		if c.Name == name {
+			return c.New()
+		}
+	}
+	t.Fatalf("policy %q is not registered", name)
+	return policy.StreamPolicy{}
+}
+
+// TestStepHelpersMatchBlockingLabeledRival repeats the differential gate on
+// a labeled stream under a rival scheduler, where the requester's identity
+// steers the sender's buffer selection.
+func TestStepHelpersMatchBlockingLabeledRival(t *testing.T) {
+	resBlock, traceBlock := runLabeledDiffPipeline(t, true)
+	resStep, traceStep := runLabeledDiffPipeline(t, false)
+	if resStep != resBlock {
+		t.Errorf("results differ:\n  blocking: %+v\n  step:     %+v", resBlock, resStep)
+	}
+	if resStep.Completed != 100 {
+		t.Fatalf("completed %d lineages, want 100", resStep.Completed)
+	}
+	if traceStep.Count("span") == 0 {
+		t.Error("trace has no GPU pipeline spans: the async executor was not exercised")
+	}
+	simtest.DiffTraces(t, "blocking", traceBlock.Lines(), "step", traceStep.Lines())
+}
+
 func compareDiffRuns(t *testing.T, resBlock core.Result, traceBlock *simtest.Recorder, resStep core.Result, traceStep *simtest.Recorder) {
 	t.Helper()
 	if resBlock != resStep {

@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/simtest"
 )
 
 // renderMany runs the given experiments with the given worker-pool size and
@@ -86,7 +88,7 @@ func TestRunAllDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-registry determinism check skipped in -short mode")
 	}
-	if raceEnabled {
+	if simtest.RaceEnabled {
 		t.Skip("full-registry determinism check skipped under -race " +
 			"(TestSweepDeterminismQuick covers the pool under the detector)")
 	}

@@ -69,9 +69,9 @@ func servingHorizon(cfg Config) sim.Time {
 // servingBreakdown is the stage attribution of one request: admitted at the
 // gateway, delivered to a serve replica, serviced start..end.
 type servingBreakdown struct {
-	taskID                    uint64
-	node                      int
-	kind                      hw.Kind
+	taskID                     uint64
+	node                       int
+	kind                       hw.Kind
 	admit, deliver, start, end sim.Time
 }
 

@@ -37,6 +37,8 @@ type Network struct {
 	// deg holds per-node NIC degradations; nil until the first Degrade call,
 	// so the healthy hot path pays only a nil check.
 	deg map[int]*netDegrade
+	// free pools the records of finished SendThen calls.
+	free []*sendOp
 }
 
 // NewNetwork creates a network model.
@@ -123,6 +125,10 @@ func (n *Network) Send(e *sim.Env, from, to *Node, bytes int64) {
 // so arbitration order is one discipline across process flavours — and then
 // runs next. NIC degradations are sampled once, when the send starts, exactly
 // as Send does. Steps must return the directive SendThen returns.
+//
+// Each remote send runs on a sendOp record from the network's pool, whose
+// steps are bound once, so a send allocates nothing in steady state when
+// next is itself a bound step.
 func (n *Network) SendThen(e *sim.Env, from, to *Node, bytes int64, next sim.Step) sim.Cont {
 	if from == to {
 		d := n.cfg.LocalLatency
@@ -131,39 +137,83 @@ func (n *Network) SendThen(e *sim.Env, from, to *Node, bytes int64, next sim.Ste
 		}
 		return sim.After(d, next)
 	}
-	bw := n.cfg.BandwidthBps
-	lat := n.cfg.Latency
+	op := n.op()
+	op.from, op.bytes, op.next = from, bytes, next
+	op.bw, op.lat = n.cfg.BandwidthBps, n.cfg.Latency
 	if n.deg != nil {
 		if d := n.deg[from.ID]; d != nil {
-			bw *= d.bwScale
-			lat += d.latency
+			op.bw *= d.bwScale
+			op.lat += d.latency
 		}
 		if d := n.deg[to.ID]; d != nil {
-			lat += d.latency
+			op.lat += d.latency
 		}
 	}
-	var sent int64
-	var segment sim.Step
-	segment = func(e *sim.Env) sim.Cont {
-		if sent >= bytes {
-			return sim.After(lat, func(e *sim.Env) sim.Cont {
-				n.bytes += bytes
-				return next(e)
-			})
-		}
-		seg := bytes - sent
-		if seg > segmentBytes {
-			seg = segmentBytes
-		}
-		sent += seg
-		return from.egress.AcquireThen(e, func(e *sim.Env) sim.Cont {
-			return sim.After(sim.Time(float64(seg)/bw), func(e *sim.Env) sim.Cont {
-				from.egress.Release()
-				return segment(e)
-			})
-		})
+	return op.segment(e)
+}
+
+// sendOp is the state of one in-flight SendThen: the bytes still to
+// serialize on the sender's NIC and the continuation to run on delivery.
+type sendOp struct {
+	n          *Network
+	from       *Node
+	bytes      int64
+	sent, seg  int64
+	bw         float64
+	lat        sim.Time
+	next       sim.Step
+	wireStep   sim.Step // onWire
+	sentStep   sim.Step // segmentSent
+	arriveStep sim.Step // arrive
+}
+
+// op returns a sendOp from the pool, or a new one with its steps bound.
+func (n *Network) op() *sendOp {
+	if k := len(n.free); k > 0 {
+		op := n.free[k-1]
+		n.free[k-1] = nil
+		n.free = n.free[:k-1]
+		return op
 	}
-	return segment(e)
+	op := &sendOp{n: n}
+	op.wireStep, op.sentStep, op.arriveStep = op.onWire, op.segmentSent, op.arrive
+	return op
+}
+
+// segment queues the next segment on the egress NIC, or starts the
+// propagation delay once every byte is serialized.
+func (op *sendOp) segment(e *sim.Env) sim.Cont {
+	if op.sent >= op.bytes {
+		return sim.After(op.lat, op.arriveStep)
+	}
+	op.seg = op.bytes - op.sent
+	if op.seg > segmentBytes {
+		op.seg = segmentBytes
+	}
+	op.sent += op.seg
+	return op.from.egress.AcquireThen(e, op.wireStep)
+}
+
+// onWire holds the NIC for one segment's serialization time.
+func (op *sendOp) onWire(*sim.Env) sim.Cont {
+	return sim.After(sim.Time(float64(op.seg)/op.bw), op.sentStep)
+}
+
+// segmentSent frees the NIC for interleaved senders and moves on.
+func (op *sendOp) segmentSent(e *sim.Env) sim.Cont {
+	op.from.egress.Release()
+	return op.segment(e)
+}
+
+// arrive accounts the delivered bytes, returns the record to the pool and
+// runs the continuation.
+func (op *sendOp) arrive(e *sim.Env) sim.Cont {
+	n, next := op.n, op.next
+	n.bytes += op.bytes
+	op.from, op.next = nil, nil
+	op.bytes, op.sent, op.seg = 0, 0, 0
+	n.free = append(n.free, op)
+	return next(e)
 }
 
 // NodeSpec describes one machine when building a cluster.
@@ -216,26 +266,44 @@ func NewCluster(k *sim.Kernel, specs []NodeSpec, netCfg *NetworkConfig) *Cluster
 		nc = *netCfg
 	}
 	c := &Cluster{K: k, Net: NewNetwork(nc)}
-	for i, spec := range specs {
+	// A cluster is built in the set-up of every run, so its nodes, devices,
+	// links and CPU lists each come from one allocation.
+	var cores, gpus int
+	for _, spec := range specs {
 		if spec.CPUCores < 0 {
 			panic("hw: negative CPU core count")
 		}
-		n := &Node{ID: i, egress: sim.NewResource(k, 1)}
-		for j := 0; j < spec.CPUCores; j++ {
-			d := NewDevice(k, CPU, j)
-			d.NodeID = i
-			n.CPUs = append(n.CPUs, d)
+		cores += spec.CPUCores
+		if spec.HasGPU {
+			gpus++
+		}
+	}
+	nodes := make([]Node, len(specs))
+	devs := make([]Device, cores+gpus)
+	cpus := make([]*Device, cores)
+	links := make([]Link, gpus)
+	c.Nodes = make([]*Node, len(specs))
+	for i, spec := range specs {
+		n := &nodes[i]
+		n.ID, n.egress = i, sim.NewResource(k, 1)
+		n.CPUs, cpus = cpus[:spec.CPUCores:spec.CPUCores], cpus[spec.CPUCores:]
+		for j := range n.CPUs {
+			n.CPUs[j], devs = &devs[0], devs[1:]
+			n.CPUs[j].init(k, CPU, j)
+			n.CPUs[j].NodeID = i
 		}
 		if spec.HasGPU {
 			lc := DefaultLink
 			if spec.Link != nil {
 				lc = *spec.Link
 			}
-			n.GPU = NewDevice(k, GPU, 0)
+			n.GPU, devs = &devs[0], devs[1:]
+			n.GPU.init(k, GPU, 0)
 			n.GPU.NodeID = i
-			n.Link = NewLink(k, lc)
+			n.Link, links = &links[0], links[1:]
+			n.Link.init(k, lc)
 		}
-		c.Nodes = append(c.Nodes, n)
+		c.Nodes[i] = n
 	}
 	return c
 }

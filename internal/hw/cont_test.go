@@ -132,3 +132,64 @@ func TestSendThenLocalDelivery(t *testing.T) {
 		t.Fatalf("local sends must not count as network bytes, got %d", c.Net.TotalBytes())
 	}
 }
+
+// steadyAllocs starts one step process that repeats op forever and returns
+// the allocations of advancing the kernel by one slice of virtual time,
+// measured after a warm-up slice, plus how many operations ran per slice.
+// Zero means the operation reuses pooled records once the first call has
+// created them.
+func steadyAllocs(t *testing.T, k *sim.Kernel, slice sim.Time, op func(e *sim.Env, next sim.Step) sim.Cont) (allocs float64, opsPerSlice int) {
+	t.Helper()
+	if simtest.RaceEnabled {
+		t.Skip("allocation thresholds are not meaningful under -race")
+	}
+	ops := 0
+	var step sim.Step
+	step = func(e *sim.Env) sim.Cont {
+		ops++
+		return op(e, step)
+	}
+	k.SpawnStep("loop", step)
+	horizon := sim.Time(0)
+	const runs = 20
+	allocs = testing.AllocsPerRun(runs, func() {
+		horizon += slice
+		if done, err := k.AdvanceTo(horizon); done || err != nil {
+			t.Fatalf("kernel stopped at %v: done=%v err=%v", horizon, done, err)
+		}
+	})
+	return allocs, ops / (runs + 1)
+}
+
+// TestSendThenAllocs pins the pooled send record: a steady stream of
+// four-segment remote sends whose continuation is a bound step allocates
+// nothing once the first send has created the record.
+func TestSendThenAllocs(t *testing.T) {
+	k := sim.NewKernel(1)
+	c := simtest.ContendedPair(k)
+	const size = 3*64<<10 + 1000 // four NIC segments
+	allocs, ops := steadyAllocs(t, k, 10*sim.Millisecond, func(e *sim.Env, next sim.Step) sim.Cont {
+		return c.Net.SendThen(e, c.Nodes[0], c.Nodes[1], size, next)
+	})
+	if ops < 2 {
+		t.Fatalf("only %d sends per slice", ops)
+	}
+	if allocs != 0 {
+		t.Errorf("%.2f allocs per slice of %d sends, want 0", allocs, ops)
+	}
+}
+
+// TestCopyThenAllocs pins the pooled copy record the same way.
+func TestCopyThenAllocs(t *testing.T) {
+	k := sim.NewKernel(1)
+	l := hw.NewLink(k, hw.DefaultLink)
+	allocs, ops := steadyAllocs(t, k, sim.Millisecond, func(e *sim.Env, next sim.Step) sim.Cont {
+		return l.CopyThen(e, 256<<10, hw.HostToDevice, next)
+	})
+	if ops < 2 {
+		t.Fatalf("only %d copies per slice", ops)
+	}
+	if allocs != 0 {
+		t.Errorf("%.2f allocs per slice of %d copies, want 0", allocs, ops)
+	}
+}

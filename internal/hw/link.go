@@ -51,16 +51,23 @@ type Link struct {
 	inflight int
 	traffic  [2]int64 // bytes moved per direction
 	busy     sim.Time
-	degLat   sim.Time // fault-injected per-transfer latency penalty
-	degBW    float64  // fault-injected bandwidth scale (1 = healthy)
+	degLat   sim.Time  // fault-injected per-transfer latency penalty
+	degBW    float64   // fault-injected bandwidth scale (1 = healthy)
+	free     []*copyOp // records of finished CopyThen calls
 }
 
 // NewLink creates a PCIe link.
 func NewLink(k *sim.Kernel, cfg LinkConfig) *Link {
+	l := &Link{}
+	l.init(k, cfg)
+	return l
+}
+
+func (l *Link) init(k *sim.Kernel, cfg LinkConfig) {
 	if cfg.BandwidthBps <= 0 {
 		panic("hw: link bandwidth must be positive")
 	}
-	return &Link{cfg: cfg, engine: sim.NewResource(k, 1), degBW: 1}
+	*l = Link{cfg: cfg, engine: sim.NewResource(k, 1), degBW: 1}
 }
 
 // Degrade perturbs the link: latAdd is added to every transfer's setup cost
@@ -102,24 +109,59 @@ func (l *Link) Copy(e *sim.Env, bytes int64, dir Direction) {
 // callers, so arbitration order is one discipline across flavours), samples
 // congestion at service start exactly as Copy does, and runs next once the
 // bytes have moved. Steps must return the directive CopyThen returns.
+//
+// Each call runs on a copyOp record from the link's pool, whose steps are
+// bound once, so a copy allocates nothing in steady state when next is
+// itself a bound step.
 func (l *Link) CopyThen(e *sim.Env, bytes int64, dir Direction, next sim.Step) sim.Cont {
 	if bytes < 0 {
 		panic("hw: negative transfer size")
 	}
 	l.inflight++
-	return l.engine.AcquireThen(e, func(e *sim.Env) sim.Cont {
-		extra := float64(l.inflight - 1)
-		wire := sim.Time(float64(bytes)/(l.cfg.BandwidthBps*l.degBW)) * sim.Time(1+l.cfg.Congestion*extra)
-		d := l.cfg.Latency + l.degLat + wire
-		start := e.Now()
-		return sim.After(d, func(e *sim.Env) sim.Cont {
-			l.engine.Release()
-			l.inflight--
-			l.traffic[dir] += bytes
-			l.busy += e.Now() - start
-			return next(e)
-		})
-	})
+	var op *copyOp
+	if n := len(l.free); n > 0 {
+		op = l.free[n-1]
+		l.free[n-1] = nil
+		l.free = l.free[:n-1]
+	} else {
+		op = &copyOp{l: l}
+		op.serveStep, op.doneStep = op.serve, op.done
+	}
+	op.bytes, op.dir, op.next = bytes, dir, next
+	return l.engine.AcquireThen(e, op.serveStep)
+}
+
+// copyOp is the state of one in-flight CopyThen.
+type copyOp struct {
+	l         *Link
+	bytes     int64
+	dir       Direction
+	start     sim.Time
+	next      sim.Step
+	serveStep sim.Step // serve
+	doneStep  sim.Step // done
+}
+
+// serve holds the DMA engine for the transfer's service time.
+func (op *copyOp) serve(e *sim.Env) sim.Cont {
+	l := op.l
+	extra := float64(l.inflight - 1)
+	wire := sim.Time(float64(op.bytes)/(l.cfg.BandwidthBps*l.degBW)) * sim.Time(1+l.cfg.Congestion*extra)
+	op.start = e.Now()
+	return sim.After(l.cfg.Latency+l.degLat+wire, op.doneStep)
+}
+
+// done releases the engine, accounts the transfer, returns the record to
+// the pool and runs the continuation.
+func (op *copyOp) done(e *sim.Env) sim.Cont {
+	l, next := op.l, op.next
+	l.engine.Release()
+	l.inflight--
+	l.traffic[op.dir] += op.bytes
+	l.busy += e.Now() - op.start
+	op.next = nil
+	l.free = append(l.free, op)
+	return next(e)
 }
 
 // TransferTime returns the uncongested time to move bytes one way. Useful

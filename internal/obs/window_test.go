@@ -25,8 +25,8 @@ func rankError(sorted []float64, v, q float64) float64 {
 	if r < 1 {
 		r = 1
 	}
-	lo := sort.SearchFloat64s(sorted, v)                                    // samples strictly below v
-	hi := sort.Search(n, func(i int) bool { return sorted[i] > v })         // samples <= v
+	lo := sort.SearchFloat64s(sorted, v)                            // samples strictly below v
+	hi := sort.Search(n, func(i int) bool { return sorted[i] > v }) // samples <= v
 	if float64(lo+1) > r {
 		return float64(lo+1) - r
 	}

@@ -232,12 +232,23 @@ func (q *Queue) PeekKeyFor(kind hw.Kind) (float64, bool) {
 	return 0, false
 }
 
+// compactKeep is the largest tombstone set compact clears in place; a
+// larger one is dropped so its storage does not outlive a burst.
+const compactKeep = 64
+
 // compact clears tombstones and dead heap entries when the queue is empty.
+// A queue that oscillates around empty — a demand-driven send queue
+// answering one request at a time — reuses its tombstone map instead of
+// allocating a new one per pop.
 func (q *Queue) compact() {
 	q.fifo = q.fifo[:0]
 	q.fifoHead = 0
 	for k := range q.heaps {
 		q.heaps[k] = q.heaps[k][:0]
 	}
-	q.gone = make(map[uint64]bool)
+	if len(q.gone) > compactKeep {
+		q.gone = make(map[uint64]bool)
+	} else {
+		clear(q.gone)
+	}
 }

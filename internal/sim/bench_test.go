@@ -117,9 +117,9 @@ func messagePathWorkload(n int) {
 }
 
 // messagePathStepWorkload is messagePathWorkload with continuation
-// processes on both sides: the post-migration shape of the message path,
-// with the per-message chain built from hoisted steps so steady state costs
-// only the channel parking record.
+// processes on both sides: the shape of the runtime's message path, with
+// the per-message chain built from hoisted steps so steady state allocates
+// nothing.
 func messagePathStepWorkload(n int) {
 	k := NewKernel(1)
 	nic := NewResource(k, 1)
@@ -298,22 +298,21 @@ func TestSpawnPoolingStepAllocs(t *testing.T) {
 
 // TestMessagePathAllocs pins the blocking message path: 1000 sequential
 // spawn → acquire → hold → release → reply rounds. Record pooling reuses
-// one coroutine and the wait queues recycle their backing arrays, so the
-// only per-message cost left is the channel parking record of the reply
-// wait (~1 allocation per message).
+// one coroutine, the wait queues recycle their backing arrays and the
+// channel pools its parking records, so the budget covers set-up only.
 func TestMessagePathAllocs(t *testing.T) {
-	allocCeiling(t, "message path (1000 blocking rounds)", 1200, 3000, func() {
+	allocCeiling(t, "message path (1000 blocking rounds)", 100, 3000, func() {
 		messagePathWorkload(1000)
 	})
 }
 
 // TestMessagePathStepAllocs pins the continuation message path: the same
-// 1000 rounds with every per-message process a step chain. GetThen pays one
-// extra allocation over the blocking Get (the continuation wrapper holding
-// the received value) but no coroutine switches, which is why this flavour
-// runs several times faster despite the slightly higher count.
+// 1000 rounds with every per-message process a step chain. GetThen parks on
+// a pooled getter record whose wake step is bound once, so, like the
+// blocking flavour, a round allocates nothing and the budget covers set-up
+// only — without the coroutine switches.
 func TestMessagePathStepAllocs(t *testing.T) {
-	allocCeiling(t, "step message path (1000 rounds)", 2200, 3000, func() {
+	allocCeiling(t, "step message path (1000 rounds)", 100, 3000, func() {
 		messagePathStepWorkload(1000)
 	})
 }

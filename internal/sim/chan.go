@@ -8,25 +8,69 @@ package sim
 // The wait queues are continuation-aware: blocking processes (Put/Get) and
 // continuation processes (PutThen/GetThen) share the same FIFO queues, so
 // wakeup order is a single discipline regardless of process flavour.
+//
+// Getter parking records (one per blocked Get/GetThen) are pooled per
+// channel, and a continuation getter's wake step is a method value bound
+// once when its record is created, so waiting for a value allocates nothing
+// in steady state.
 type Chan[T any] struct {
 	k        *Kernel
 	capacity int
 	buf      []T
 	getQ     []*chanGetter[T]
 	putQ     []*chanPutter[T]
+	freeGet  []*chanGetter[T]
 	closed   bool
 }
 
 type chanGetter[T any] struct {
-	p   *proc
-	val T
-	ok  bool
-	hit bool // value delivered directly (or channel closed)
+	c    *Chan[T]
+	p    *proc
+	val  T
+	ok   bool
+	hit  bool                            // value delivered directly (or channel closed)
+	next func(e *Env, v T, ok bool) Cont // GetThen's continuation
+	wake Step                            // g.resume, bound once
 }
 
 type chanPutter[T any] struct {
 	p   *proc
 	val T
+}
+
+// getter returns a parking record for p from the pool, or a new one.
+func (c *Chan[T]) getter(p *proc) *chanGetter[T] {
+	var g *chanGetter[T]
+	if n := len(c.freeGet); n > 0 {
+		g = c.freeGet[n-1]
+		c.freeGet[n-1] = nil
+		c.freeGet = c.freeGet[:n-1]
+	} else {
+		g = &chanGetter[T]{c: c}
+		g.wake = g.resume
+	}
+	g.p = p
+	c.getQ = append(c.getQ, g)
+	return g
+}
+
+// result takes the delivered value out of a woken getter and returns the
+// record to the pool.
+func (g *chanGetter[T]) result() (T, bool) {
+	v, ok := g.val, g.ok
+	var zero T
+	g.p, g.val, g.ok, g.hit, g.next = nil, zero, false, false, nil
+	g.c.freeGet = append(g.c.freeGet, g)
+	return v, ok
+}
+
+// resume is a continuation getter's wake step: delivery (or close) set
+// val/ok before waking it; spurious wakeups are impossible, matching the
+// blocking Get loop.
+func (g *chanGetter[T]) resume(e *Env) Cont {
+	next := g.next
+	v, ok := g.result()
+	return next(e, v, ok)
 }
 
 // NewChan creates a channel with the given buffer capacity (>= 0).
@@ -109,11 +153,12 @@ func (c *Chan[T]) Get(e *Env) (T, bool) {
 			var zero T
 			return zero, false
 		}
-		g := &chanGetter[T]{p: e.p}
-		c.getQ = append(c.getQ, g)
+		g := c.getter(e.p)
 		c.k.park(e.p)
-		if g.hit {
-			return g.val, g.ok
+		hit := g.hit
+		v, ok := g.result()
+		if hit {
+			return v, ok
 		}
 		// Spurious wakeup is impossible in this kernel, but the loop also
 		// covers the close-while-waiting path where hit is set with ok=false.
@@ -132,13 +177,9 @@ func (c *Chan[T]) GetThen(e *Env, next func(e *Env, v T, ok bool) Cont) Cont {
 		var zero T
 		return next(e, zero, false)
 	}
-	g := &chanGetter[T]{p: e.p}
-	c.getQ = append(c.getQ, g)
-	e.p.step = func(e *Env) Cont {
-		// Delivery (or close) set g.val/g.ok before waking us; spurious
-		// wakeups are impossible, matching the blocking Get loop.
-		return next(e, g.val, g.ok)
-	}
+	g := c.getter(e.p)
+	g.next = next
+	e.p.step = g.wake
 	return Blocked()
 }
 

@@ -608,6 +608,15 @@ type stepRunner struct {
 // by fl, using the continuation API for step-flavored processes. Its traces
 // are comparable to runProgBlocking's after stripKills.
 func runProgStep(p prog, seed int64, fl flavor) []string {
+	r := newStepRunner(p, seed, fl)
+	err := r.k.RunUntil(sim.Time(p.horizon))
+	r.rec.addf("final now=%.9g err=%v", float64(r.k.Now()), err)
+	return r.rec.lines
+}
+
+// newStepRunner builds p's primitives on a fresh kernel and spawns its root
+// scripts, leaving the kernel ready to run.
+func newStepRunner(p prog, seed int64, fl flavor) *stepRunner {
 	k := sim.NewKernel(seed)
 	r := &stepRunner{p: p, k: k, rec: &recorder{}, fl: fl}
 	for _, c := range p.chanCaps {
@@ -630,9 +639,7 @@ func runProgStep(p prog, seed int64, fl flavor) []string {
 	for s := 0; s < p.roots; s++ {
 		r.spawn(s)
 	}
-	err := k.RunUntil(sim.Time(p.horizon))
-	r.rec.addf("final now=%.9g err=%v", float64(k.Now()), err)
-	return r.rec.lines
+	return r
 }
 
 func (r *stepRunner) spawn(si int) string {

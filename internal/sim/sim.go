@@ -18,7 +18,7 @@
 //   - Continuation processes (SpawnStep) are explicit state machines: a
 //     Step function runs without blocking and returns a Cont directive
 //     (Done, After, Blocked) naming the next step. The event loop invokes
-//     steps inline — a dispatch is a heap pop plus a function call — so
+//     steps inline — a dispatch is a queue pop plus a function call — so
 //     hot-path processes pay no stack switch at all. The *Then variants of
 //     the synchronization primitives (Chan.GetThen, Resource.AcquireThen,
 //     ...) arm the continuation and share FIFO wait queues with blocking
@@ -34,11 +34,18 @@
 // outlives Run.
 //
 // The event loop is the hot path of every experiment sweep, so it avoids
-// allocation: the event queue is a concrete typed binary heap (no
-// container/heap interface boxing), completed process records (and, for
-// blocking processes, their coroutines) are pooled for reuse by later
-// Spawns, and a zero-duration Sleep or After returns immediately when no
-// other event is pending at the current instant.
+// allocation and heap traffic. Pending wakeups live in two queues: future
+// instants in a concrete typed binary heap ordered by (time, seq), with no
+// container/heap interface boxing, and the current instant in a FIFO lane —
+// a plain slice, since most wakeups (channel hand-offs, resource grants,
+// notifies, After(0)) land at the instant that schedules them. The loop
+// dispatches heap events at the current instant before the lane, which is
+// exactly (time, seq) order: a heap event at now was pushed while the clock
+// was still earlier, so its seq is lower than any lane entry's. Completed
+// process records (and, for blocking processes, their coroutines) are
+// pooled for reuse by later Spawns, channels pool their getter records,
+// and a zero-duration Sleep or After returns immediately when neither
+// queue holds another wakeup at the current instant.
 package sim
 
 import (
@@ -116,59 +123,66 @@ func (p procPanic) Error() string {
 	return fmt.Sprintf("sim: process %q panicked: %v", p.name, p.value)
 }
 
-type event struct {
-	at   Time
-	seq  uint64
+// wakeup is one pending resumption of a process. id is the proc
+// incarnation the wakeup belongs to. Process records are pooled and reused
+// (with a fresh id per Spawn), so a wakeup is stale — and must be dropped —
+// unless the record still runs the same incarnation.
+type wakeup struct {
 	proc *proc
-	// id is the proc incarnation the wakeup belongs to. Process records are
-	// pooled and reused (with a fresh id per Spawn), so a wakeup is stale —
-	// and must be dropped — unless the record still runs the same
-	// incarnation.
-	id int
+	id   int
+}
+
+// event is a wakeup at a future instant, ordered by (at, seq).
+type event struct {
+	at  Time
+	seq uint64
+	wakeup
 }
 
 // eventHeap is a binary min-heap ordered by (at, seq). It is a concrete
 // implementation rather than a container/heap adapter so Push/Pop move
 // event values directly, with no interface boxing and no per-event
-// allocation.
+// allocation. Sifting moves a hole instead of swapping, so each level
+// costs one event copy. (A 4-ary variant measured no faster on the
+// scale_ddwrr benchmark and slower on the sim.ns_per_event ladder.)
 type eventHeap []event
 
-// before reports whether element i must pop before element j.
-func (h eventHeap) before(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+// before reports whether event a must pop before event b.
+func before(a, b *event) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
 func (h eventHeap) up(i int) {
+	e := h[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.before(i, parent) {
+		if !before(&e, &h[parent]) {
 			break
 		}
-		h[i], h[parent] = h[parent], h[i]
+		h[i] = h[parent]
 		i = parent
 	}
+	h[i] = e
 }
 
 func (h eventHeap) down(i int) {
 	n := len(h)
+	e := h[i]
 	for {
-		l := 2*i + 1
-		if l >= n {
+		min := 2*i + 1
+		if min >= n {
 			break
 		}
-		min := l
-		if r := l + 1; r < n && h.before(r, l) {
+		if r := min + 1; r < n && before(&h[r], &h[min]) {
 			min = r
 		}
-		if !h.before(min, i) {
+		if !before(&h[min], &e) {
 			break
 		}
-		h[i], h[min] = h[min], h[i]
+		h[i] = h[min]
 		i = min
 	}
+	h[i] = e
 }
 
 func (h *eventHeap) pushEvent(e event) {
@@ -193,15 +207,20 @@ func (h *eventHeap) popMin() event {
 // spawn processes with Spawn or SpawnStep, then call Run from the goroutine
 // that created it. A Kernel must not be reused after Run returns.
 type Kernel struct {
-	now      Time
-	seq      uint64
-	events   eventHeap
+	now    Time
+	seq    uint64
+	events eventHeap // wakeups at future instants
+	// lane holds the wakeups scheduled for the current instant, in FIFO
+	// order from laneHead; it is drained before time advances.
+	lane     []wakeup
+	laneHead int
 	procs    []*proc
 	freeCoro []*proc // pooled blocking-process records (coroutine parked)
 	freeStep []*proc // pooled continuation-process records
 	idgen    int
 	failure  error
-	rng      *rand.Rand
+	seed     int64
+	rng      *rand.Rand // seeded from seed on first use
 	running  bool
 	finished bool // set by AdvanceTo once the queue drained and shutdown ran
 }
@@ -209,7 +228,7 @@ type Kernel struct {
 // NewKernel returns a kernel whose processes draw randomness from the given
 // seed. The same seed always yields an identical execution.
 func NewKernel(seed int64) *Kernel {
-	return &Kernel{rng: rand.New(rand.NewSource(seed))}
+	return &Kernel{seed: seed}
 }
 
 // Now returns the current virtual time.
@@ -217,7 +236,15 @@ func (k *Kernel) Now() Time { return k.now }
 
 // Rand returns the kernel's deterministic random source. It must only be
 // used from simulated processes or between Run calls, never concurrently.
-func (k *Kernel) Rand() *rand.Rand { return k.rng }
+// The source is seeded on first use — seeding costs more than building the
+// rest of a kernel, and most models never draw from it — which yields the
+// same sequence as seeding at construction.
+func (k *Kernel) Rand() *rand.Rand {
+	if k.rng == nil {
+		k.rng = rand.New(rand.NewSource(k.seed))
+	}
+	return k.rng
+}
 
 // Spawn registers a new blocking process. It may be called before Run or
 // from inside a running process (usually via Env.Spawn). The process starts
@@ -312,14 +339,41 @@ func (k *Kernel) runBody(p *proc) (pooled bool) {
 	return
 }
 
-// schedule enqueues a wakeup for p at time t.
+// schedule enqueues a wakeup for p at time t (clamped to now). Wakeups for
+// the current instant skip the heap: they append to the same-instant lane,
+// which dispatches them in FIFO order after any heap events at now. That is
+// exactly (time, seq) order, because a heap event at now was pushed while
+// the clock was still earlier, so its seq is lower than that of every lane
+// entry.
 func (k *Kernel) schedule(t Time, p *proc) {
-	if t < k.now {
-		t = k.now
-	}
 	p.state = stateRunnable
-	k.events.pushEvent(event{at: t, seq: k.seq, proc: p, id: p.id})
+	if t <= k.now {
+		k.lane = append(k.lane, wakeup{proc: p, id: p.id})
+		return
+	}
+	k.events.pushEvent(event{at: t, seq: k.seq, wakeup: wakeup{proc: p, id: p.id}})
 	k.seq++
+}
+
+// dueNow reports whether some wakeup is pending at the current instant.
+func (k *Kernel) dueNow() bool {
+	return k.laneHead < len(k.lane) || (len(k.events) > 0 && k.events[0].at == k.now)
+}
+
+// pending reports whether any wakeup is pending at all.
+func (k *Kernel) pending() bool { return k.laneHead < len(k.lane) || len(k.events) > 0 }
+
+// popLane removes the oldest same-instant wakeup. The lane is reset to the
+// start of its backing array whenever it empties, so it never grows past
+// the largest burst of wakeups one instant produces.
+func (k *Kernel) popLane() wakeup {
+	w := k.lane[k.laneHead]
+	k.lane[k.laneHead] = wakeup{}
+	k.laneHead++
+	if k.laneHead == len(k.lane) {
+		k.lane, k.laneHead = k.lane[:0], 0
+	}
+	return w
 }
 
 // park suspends the calling blocking process until the kernel resumes it.
@@ -361,17 +415,35 @@ func (k *Kernel) RunUntil(horizon Time) error {
 // without killing anything, so the caller decides whether the kernel keeps
 // living.
 func (k *Kernel) advance(horizon Time) {
-	for k.failure == nil && len(k.events) > 0 {
-		e := k.events.popMin()
-		if horizon >= 0 && e.at > horizon {
-			k.events.pushEvent(e)
-			break
+	for k.failure == nil {
+		var w wakeup
+		at := k.now
+		heapNow := len(k.events) > 0 && k.events[0].at == at
+		switch {
+		case heapNow || k.laneHead < len(k.lane):
+			if horizon >= 0 && at > horizon {
+				return
+			}
+			// Heap events at now precede the lane (lower seq).
+			if heapNow {
+				w = k.events.popMin().wakeup
+			} else {
+				w = k.popLane()
+			}
+		case len(k.events) > 0:
+			if horizon >= 0 && k.events[0].at > horizon {
+				return
+			}
+			e := k.events.popMin()
+			w, at = e.wakeup, e.at
+		default:
+			return
 		}
-		if e.proc.id != e.id || e.proc.state == stateDone || e.proc.state == statePooled {
+		if w.proc.id != w.id || w.proc.state == stateDone || w.proc.state == statePooled {
 			continue // stale wakeup: the incarnation it was for is gone
 		}
-		k.now = e.at
-		k.dispatch(e.proc)
+		k.now = at
+		k.dispatch(w.proc)
 	}
 }
 
@@ -399,7 +471,7 @@ func (k *Kernel) AdvanceTo(horizon Time) (done bool, err error) {
 	}
 	k.running = true
 	k.advance(horizon)
-	if k.failure != nil || len(k.events) == 0 {
+	if k.failure != nil || !k.pending() {
 		k.finished = true
 		k.shutdown()
 		return true, k.failure
@@ -470,7 +542,7 @@ func (e *Env) Now() Time { return e.k.now }
 func (e *Env) Kernel() *Kernel { return e.k }
 
 // Rand returns the kernel's deterministic random source.
-func (e *Env) Rand() *rand.Rand { return e.k.rng }
+func (e *Env) Rand() *rand.Rand { return e.k.Rand() }
 
 // Name returns the name the process was spawned with.
 func (e *Env) Name() string { return e.p.name }
@@ -483,11 +555,10 @@ func (e *Env) Sleep(d Time) {
 	k := e.k
 	if d <= 0 {
 		// Fast path: yielding only matters if another event is pending at
-		// the current instant. The heap's minimum is never earlier than
-		// now, so if the top (if any) is strictly later, this process
-		// would be rescheduled and immediately re-dispatched — skip the
-		// two coroutine switches and keep running.
-		if len(k.events) == 0 || k.events[0].at > k.now {
+		// the current instant. If neither the lane nor the heap's top holds
+		// one, this process would be rescheduled and immediately
+		// re-dispatched — skip the two coroutine switches and keep running.
+		if !k.dueNow() {
 			return
 		}
 		k.schedule(k.now, e.p)

@@ -180,17 +180,20 @@ func NewWaitGroup(k *Kernel) *WaitGroup { return &WaitGroup{k: k} }
 // Add increments the outstanding-work counter.
 func (w *WaitGroup) Add(n int) { w.count += n }
 
-// Done decrements the counter, waking waiters when it reaches zero.
+// Done decrements the counter, waking waiters when it reaches zero. The
+// waiter slice's backing array is kept, so a group reused for many rounds
+// (Add, Done, Wait, and again) does not allocate per round.
 func (w *WaitGroup) Done() {
 	w.count--
 	if w.count < 0 {
 		panic("sim: WaitGroup counter below zero")
 	}
 	if w.count == 0 {
-		for _, p := range w.done {
+		for i, p := range w.done {
 			w.k.schedule(w.k.now, p)
+			w.done[i] = nil
 		}
-		w.done = nil
+		w.done = w.done[:0]
 	}
 }
 

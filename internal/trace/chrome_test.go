@@ -92,8 +92,8 @@ func TestChromeTraceStructure(t *testing.T) {
 		}
 	}
 	for _, want := range []string{
-		"dev n1/GPU0", // device track (busy during kernels)
-		"worker/0",                                         // filter-instance track
+		"dev n1/GPU0",                                     // device track (busy during kernels)
+		"worker/0",                                        // filter-instance track
 		"worker/0 h2d", "worker/0 kernel", "worker/0 d2h", // pipeline lanes
 		"counters",
 	} {

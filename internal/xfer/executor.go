@@ -28,6 +28,8 @@ type Executor struct {
 	// host-to-device copy, one kernel execution, or one device-to-host
 	// copy — with the span's virtual-time bounds. Nil costs nothing.
 	OnSpan func(Span)
+
+	free []*copyJob // pooled transfer records of the asynchronous pipeline
 }
 
 // SpanKind classifies a transfer-pipeline span.
@@ -116,64 +118,123 @@ func (x *Executor) runSync(e *sim.Env, batch []*task.Task) {
 }
 
 func (x *Executor) runAsync(e *sim.Env, batch []*task.Task) {
-	k := len(batch)
 	// Phase 1: issue every host-to-device copy on its own CUDA stream. The
 	// per-transfer processes are stackless step chains by default — a copy
 	// is a link-queue hop plus a timed wait, no coroutine stack needed —
 	// with the blocking flavour kept behind BlockingProcs as the reference.
-	inDone := make([]*sim.Signal, k)
-	for i, t := range batch {
-		sig := sim.NewSignal(e.Kernel())
-		inDone[i] = sig
-		size, id := t.Size, t.ID
+	// Each buffer's transfers run on a pooled copyJob; the jobs of this
+	// batch are linked in batch order from head.
+	var head, tail *copyJob
+	for _, t := range batch {
+		j := x.job(e.Kernel())
+		j.size, j.id = t.Size, t.ID
+		j.landed.Add(1)
+		if tail == nil {
+			head = j
+		} else {
+			tail.link = j
+		}
+		tail = j
 		if x.BlockingProcs {
 			e.Spawn("h2d", func(ce *sim.Env) {
 				t0 := ce.Now()
-				x.Link.Copy(ce, size, hw.HostToDevice)
-				x.span(SpanH2D, t0, ce.Now(), size, id)
-				sig.Fire()
+				x.Link.Copy(ce, j.size, hw.HostToDevice)
+				x.span(SpanH2D, t0, ce.Now(), j.size, j.id)
+				j.landed.Done()
 			})
 		} else {
-			e.SpawnStep("h2d", func(ce *sim.Env) sim.Cont {
-				t0 := ce.Now()
-				return x.Link.CopyThen(ce, size, hw.HostToDevice, func(ce *sim.Env) sim.Cont {
-					x.span(SpanH2D, t0, ce.Now(), size, id)
-					sig.Fire()
-					return sim.Done()
-				})
-			})
+			e.SpawnStep("h2d", j.h2dStep)
 		}
 	}
 	// Phase 2: process events in order as their inputs arrive; the copy of
 	// event i+1 overlaps the kernel of event i.
-	for i, t := range batch {
-		inDone[i].Wait(e)
+	j := head
+	for _, t := range batch {
+		j.landed.Wait(e)
 		t0 := e.Now()
 		x.Dev.Run(e, t.Cost(hw.GPU))
 		x.span(SpanKernel, t0, e.Now(), 0, t.ID)
+		j = j.link
 	}
 	// Phase 3: issue every device-to-host copy, then wait for all of them.
-	wg := sim.NewWaitGroup(e.Kernel())
-	wg.Add(k)
+	// Every input copy has landed, so the head's group is free to count the
+	// output copies.
+	out := head.landed
+	out.Add(len(batch))
+	j = head
 	for _, t := range batch {
-		size, id := t.OutSize, t.ID
+		j.size, j.out = t.OutSize, out
 		if x.BlockingProcs {
+			j := j
 			e.Spawn("d2h", func(ce *sim.Env) {
 				t0 := ce.Now()
-				x.Link.Copy(ce, size, hw.DeviceToHost)
-				x.span(SpanD2H, t0, ce.Now(), size, id)
-				wg.Done()
+				x.Link.Copy(ce, j.size, hw.DeviceToHost)
+				x.span(SpanD2H, t0, ce.Now(), j.size, j.id)
+				out.Done()
 			})
 		} else {
-			e.SpawnStep("d2h", func(ce *sim.Env) sim.Cont {
-				t0 := ce.Now()
-				return x.Link.CopyThen(ce, size, hw.DeviceToHost, func(ce *sim.Env) sim.Cont {
-					x.span(SpanD2H, t0, ce.Now(), size, id)
-					wg.Done()
-					return sim.Done()
-				})
-			})
+			e.SpawnStep("d2h", j.d2hStep)
 		}
+		j = j.link
 	}
-	wg.Wait(e)
+	out.Wait(e)
+	for j := head; j != nil; {
+		next := j.link
+		j.link, j.out = nil, nil
+		x.free = append(x.free, j)
+		j = next
+	}
+}
+
+// copyJob is one buffer's pair of transfers in the asynchronous pipeline:
+// its host-to-device copy, then its device-to-host copy. Records are pooled
+// per Executor and their steps bound once, so the stackless pipeline
+// allocates nothing per transfer in steady state.
+type copyJob struct {
+	x       *Executor
+	size    int64
+	id      uint64
+	t0      sim.Time
+	landed  *sim.WaitGroup // one-shot "input copy done" (Add(1), then Done)
+	out     *sim.WaitGroup // the batch's output-copy group
+	link    *copyJob       // next job of the batch
+	h2dStep sim.Step       // h2d
+	h2dDone sim.Step       // h2dLanded
+	d2hStep sim.Step       // d2h
+	d2hDone sim.Step       // d2hLanded
+}
+
+// job returns a copyJob from the pool, or a new one with its steps bound.
+func (x *Executor) job(k *sim.Kernel) *copyJob {
+	if n := len(x.free); n > 0 {
+		j := x.free[n-1]
+		x.free[n-1] = nil
+		x.free = x.free[:n-1]
+		return j
+	}
+	j := &copyJob{x: x, landed: sim.NewWaitGroup(k)}
+	j.h2dStep, j.h2dDone, j.d2hStep, j.d2hDone = j.h2d, j.h2dLanded, j.d2h, j.d2hLanded
+	return j
+}
+
+func (j *copyJob) h2d(ce *sim.Env) sim.Cont {
+	j.t0 = ce.Now()
+	return j.x.Link.CopyThen(ce, j.size, hw.HostToDevice, j.h2dDone)
+}
+
+func (j *copyJob) h2dLanded(ce *sim.Env) sim.Cont {
+	j.x.span(SpanH2D, j.t0, ce.Now(), j.size, j.id)
+	j.landed.Done()
+	return sim.Done()
+}
+
+func (j *copyJob) d2h(ce *sim.Env) sim.Cont {
+	j.t0 = ce.Now()
+	return j.x.Link.CopyThen(ce, j.size, hw.DeviceToHost, j.d2hDone)
+}
+
+func (j *copyJob) d2hLanded(ce *sim.Env) sim.Cont {
+	j.x.span(SpanD2H, j.t0, ce.Now(), j.size, j.id)
+	j.out.Done()
+	return sim.Done()
 }

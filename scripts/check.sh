@@ -13,6 +13,14 @@ cd "$(dirname "$0")/.."
 echo "== go vet ./..."
 go vet ./...
 
+echo "== gofmt -l  (every Go file must be gofmt-formatted)"
+unformatted=$(find . -path './.*' -prune -o -name '*.go' -print | xargs gofmt -l)
+if [ -n "$unformatted" ]; then
+    echo "gofmt: these files need formatting (run gofmt -w):" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
+
 echo "== go build ./..."
 go build ./...
 
@@ -33,8 +41,10 @@ go test -run '^$' -fuzz '^FuzzKernelScenario$' -fuzztime 15s ./internal/sim
 go test -run '^$' -fuzz '^FuzzParseArrivals$' -fuzztime 10s ./internal/arrival
 go test -run '^$' -fuzz '^FuzzSketchDecode$' -fuzztime 10s ./internal/obs
 
-echo "== message-path alloc gates  (blocking + step flavours, without -race)"
+echo "== message-path alloc gates  (blocking + step flavours, pooled send/copy records, demand round; without -race)"
 go test -run '^TestMessagePath|^TestSpawnPooling|^TestEventLoop|^TestZero' -count=1 -timeout 5m ./internal/sim
+go test -run '^TestSendThenAllocs$|^TestCopyThenAllocs$' -count=1 -timeout 5m ./internal/hw
+go test -run '^TestFetchRoundAllocs$' -count=1 -timeout 5m ./internal/core
 
 echo "== message-path differential  (step helpers vs blocking reference, full hook trace)"
 go test -run '^TestStepHelpersMatchBlocking' -count=1 -timeout 10m ./internal/core
