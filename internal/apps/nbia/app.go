@@ -3,7 +3,6 @@ package nbia
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 
 	"repro/internal/core"
 	"repro/internal/estimator"
@@ -136,9 +135,9 @@ func HomoCluster(k *sim.Kernel, n int) *hw.Cluster {
 // dual-core CPU-only, as in Section 6.4.3.
 func HeteroCluster(k *sim.Kernel, n int) *hw.Cluster {
 	specs := make([]hw.NodeSpec, n)
-	lc := PaperLink // NewCluster copies it into each link
 	for i := range specs {
 		if i < (n+1)/2 {
+			lc := PaperLink
 			specs[i] = hw.NodeSpec{CPUCores: 2, HasGPU: true, Link: &lc}
 		} else {
 			specs[i] = hw.NodeSpec{CPUCores: 2, HasGPU: false}
@@ -191,16 +190,13 @@ func ExpectedLineages(tiles int, levels []int, rate float64, offset uint64) int6
 func BuildProfile(levels []int, jobs int, seed int64) *estimator.Profile {
 	rng := rand.New(rand.NewSource(seed))
 	p := estimator.NewProfile()
-	p.Grow(jobs)
 	sizes := profileSizes(levels)
-	params := make([]float64, jobs) // one backing array for every sample's Params
 	for j := 0; j < jobs; j++ {
 		edge := sizes[j%len(sizes)]
 		id := rng.Uint64()
 		noise := 1 + 0.05*(2*rng.Float64()-1) // +-5% measurement jitter
 		var s estimator.Sample
-		params[j] = float64(edge)
-		s.Params = params[j : j+1 : j+1]
+		s.Params = []float64{float64(edge)}
 		s.Times[hw.CPU] = float64(CPUTime(id, edge, 0)) * noise
 		s.Times[hw.GPU] = float64(GPUTotalTime(id, edge, 0)) * noise
 		p.Add(s)
@@ -211,9 +207,11 @@ func BuildProfile(levels []int, jobs int, seed int64) *estimator.Profile {
 // profileSizes spans the pyramid levels plus intermediate sizes, so the
 // estimator has representative neighbors for any tile size.
 func profileSizes(levels []int) []int {
-	out := make([]int, 0, len(levels)+5) // the levels plus 32, 64, ..., 512
+	set := map[int]bool{}
+	var out []int
 	add := func(e int) {
-		if e > 0 && !slices.Contains(out, e) {
+		if e > 0 && !set[e] {
+			set[e] = true
 			out = append(out, e)
 		}
 	}
@@ -245,9 +243,8 @@ func (cfg *Config) defaults() {
 		cfg.MaxConcurrentCopies = 16
 	}
 	if len(cfg.Workers) == 0 {
-		cfg.Workers = make([]int, len(cfg.Cluster.Nodes))
-		for i := range cfg.Workers {
-			cfg.Workers[i] = i
+		for i := range cfg.Cluster.Nodes {
+			cfg.Workers = append(cfg.Workers, i)
 		}
 	}
 	if len(cfg.Readers) == 0 {

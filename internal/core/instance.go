@@ -40,7 +40,8 @@ type fetch struct {
 	next sim.Step // run after settling: DoneStep, or the serial requester's loop
 	rep  reply    // sender side: the answer in transmission
 
-	// Steps of the round, bound once when the record is created.
+	// Steps of the stackless round, bound once when startFetch creates
+	// the record; unset on the blocking flavour's records.
 	demandStep, handoffStep, awaitStep sim.Step
 	transmitStep, deliverStep          sim.Step
 	settleStep                         func(*sim.Env, reply, bool) sim.Cont
@@ -1009,15 +1010,12 @@ func (l *reqLoop) settle(fe *sim.Env, t0 sim.Time, rep reply, ok bool) {
 }
 
 // newFetch builds a fetch record for a round demanding from snd, with its
-// own reply channel and its steps bound.
+// own reply channel.
 func (l *reqLoop) newFetch(snd *sender) *fetch {
-	f := &fetch{
+	return &fetch{
 		l: l, kind: l.w.kind, from: l.inst.node, fromInst: l.inst.idx,
 		reply: sim.NewChan[reply](l.rt.K, 1), snd: snd,
 	}
-	f.demandStep, f.handoffStep, f.awaitStep = f.demand, f.handoff, f.await
-	f.transmitStep, f.deliverStep, f.settleStep = f.transmit, f.deliver, f.settled
-	return f
 }
 
 // fetchBlocking runs one fetch protocol round in a blocking process: ship
@@ -1043,6 +1041,8 @@ func (l *reqLoop) startFetch(snd *sender, next sim.Step) *fetch {
 		f.snd = snd
 	} else {
 		f = l.newFetch(snd)
+		f.demandStep, f.handoffStep, f.awaitStep = f.demand, f.handoff, f.await
+		f.transmitStep, f.deliverStep, f.settleStep = f.transmit, f.deliver, f.settled
 	}
 	f.next = next
 	return f

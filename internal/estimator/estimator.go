@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 
 	"repro/internal/hw"
 )
@@ -42,10 +41,6 @@ type Profile struct {
 
 // NewProfile returns an empty profile.
 func NewProfile() *Profile { return &Profile{} }
-
-// Grow makes room for n more samples, so a profile of known size is built
-// without reallocating as it grows.
-func (p *Profile) Grow(n int) { p.samples = slices.Grow(p.samples, n) }
 
 // Add appends a sample and updates the normalization maxima. All samples of
 // one profile must have the same parameter arity.

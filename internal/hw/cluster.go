@@ -266,44 +266,26 @@ func NewCluster(k *sim.Kernel, specs []NodeSpec, netCfg *NetworkConfig) *Cluster
 		nc = *netCfg
 	}
 	c := &Cluster{K: k, Net: NewNetwork(nc)}
-	// A cluster is built in the set-up of every run, so its nodes, devices,
-	// links and CPU lists each come from one allocation.
-	var cores, gpus int
-	for _, spec := range specs {
+	for i, spec := range specs {
 		if spec.CPUCores < 0 {
 			panic("hw: negative CPU core count")
 		}
-		cores += spec.CPUCores
-		if spec.HasGPU {
-			gpus++
-		}
-	}
-	nodes := make([]Node, len(specs))
-	devs := make([]Device, cores+gpus)
-	cpus := make([]*Device, cores)
-	links := make([]Link, gpus)
-	c.Nodes = make([]*Node, len(specs))
-	for i, spec := range specs {
-		n := &nodes[i]
-		n.ID, n.egress = i, sim.NewResource(k, 1)
-		n.CPUs, cpus = cpus[:spec.CPUCores:spec.CPUCores], cpus[spec.CPUCores:]
-		for j := range n.CPUs {
-			n.CPUs[j], devs = &devs[0], devs[1:]
-			n.CPUs[j].init(k, CPU, j)
-			n.CPUs[j].NodeID = i
+		n := &Node{ID: i, egress: sim.NewResource(k, 1)}
+		for j := 0; j < spec.CPUCores; j++ {
+			d := NewDevice(k, CPU, j)
+			d.NodeID = i
+			n.CPUs = append(n.CPUs, d)
 		}
 		if spec.HasGPU {
 			lc := DefaultLink
 			if spec.Link != nil {
 				lc = *spec.Link
 			}
-			n.GPU, devs = &devs[0], devs[1:]
-			n.GPU.init(k, GPU, 0)
+			n.GPU = NewDevice(k, GPU, 0)
 			n.GPU.NodeID = i
-			n.Link, links = &links[0], links[1:]
-			n.Link.init(k, lc)
+			n.Link = NewLink(k, lc)
 		}
-		c.Nodes[i] = n
+		c.Nodes = append(c.Nodes, n)
 	}
 	return c
 }

@@ -74,13 +74,7 @@ type Device struct {
 // NewDevice creates a device attached to no particular node; Cluster wiring
 // sets NodeID. Interval recording is enabled by default.
 func NewDevice(k *sim.Kernel, kind Kind, index int) *Device {
-	d := &Device{}
-	d.init(k, kind, index)
-	return d
-}
-
-func (d *Device) init(k *sim.Kernel, kind Kind, index int) {
-	*d = Device{
+	return &Device{
 		Kind:           kind,
 		Index:          index,
 		k:              k,

@@ -58,16 +58,10 @@ type Link struct {
 
 // NewLink creates a PCIe link.
 func NewLink(k *sim.Kernel, cfg LinkConfig) *Link {
-	l := &Link{}
-	l.init(k, cfg)
-	return l
-}
-
-func (l *Link) init(k *sim.Kernel, cfg LinkConfig) {
 	if cfg.BandwidthBps <= 0 {
 		panic("hw: link bandwidth must be positive")
 	}
-	*l = Link{cfg: cfg, engine: sim.NewResource(k, 1), degBW: 1}
+	return &Link{cfg: cfg, engine: sim.NewResource(k, 1), degBW: 1}
 }
 
 // Degrade perturbs the link: latAdd is added to every transfer's setup cost

@@ -38,14 +38,16 @@
 // instants in a concrete typed binary heap ordered by (time, seq), with no
 // container/heap interface boxing, and the current instant in a FIFO lane —
 // a plain slice, since most wakeups (channel hand-offs, resource grants,
-// notifies, After(0)) land at the instant that schedules them. The loop
-// dispatches heap events at the current instant before the lane, which is
-// exactly (time, seq) order: a heap event at now was pushed while the clock
-// was still earlier, so its seq is lower than any lane entry's. Completed
-// process records (and, for blocking processes, their coroutines) are
-// pooled for reuse by later Spawns, channels pool their getter records,
-// and a zero-duration Sleep or After returns immediately when neither
-// queue holds another wakeup at the current instant.
+// notifies, After(0)) land at the instant that schedules them: 59-64% of
+// all schedule calls on the three workloads of the repository benchmark
+// (perfbench). The loop dispatches heap events at the current instant
+// before the lane, which is exactly (time, seq) order: a heap event at now
+// was pushed while the clock was still earlier, so its seq is lower than
+// any lane entry's. Completed process records (and, for blocking
+// processes, their coroutines) are pooled for reuse by later Spawns,
+// channels pool their getter records, and a zero-duration Sleep or After
+// returns immediately when neither queue holds another wakeup at the
+// current instant.
 package sim
 
 import (

@@ -29,7 +29,8 @@ type Executor struct {
 	// copy — with the span's virtual-time bounds. Nil costs nothing.
 	OnSpan func(Span)
 
-	free []*copyJob // pooled transfer records of the asynchronous pipeline
+	free []*copyJob     // pooled transfer records of the asynchronous pipeline
+	out  *sim.WaitGroup // output copies of the running batch, made on first use
 }
 
 // SpanKind classifies a transfer-pipeline span.
@@ -86,7 +87,7 @@ func NewExecutor(dev *hw.Device, link *hw.Link, async bool) *Executor {
 
 // RunBatch executes the batch and returns its wall (virtual) duration. The
 // caller forwards results afterwards; RunBatch covers input copies, kernel
-// executions and output copies only.
+// executions and output copies only. An Executor runs one batch at a time.
 func (x *Executor) RunBatch(e *sim.Env, batch []*task.Task) sim.Time {
 	if len(batch) == 0 {
 		return 0
@@ -157,13 +158,14 @@ func (x *Executor) runAsync(e *sim.Env, batch []*task.Task) {
 		j = j.link
 	}
 	// Phase 3: issue every device-to-host copy, then wait for all of them.
-	// Every input copy has landed, so the head's group is free to count the
-	// output copies.
-	out := head.landed
+	if x.out == nil {
+		x.out = sim.NewWaitGroup(e.Kernel())
+	}
+	out := x.out
 	out.Add(len(batch))
 	j = head
 	for _, t := range batch {
-		j.size, j.out = t.OutSize, out
+		j.size = t.OutSize
 		if x.BlockingProcs {
 			j := j
 			e.Spawn("d2h", func(ce *sim.Env) {
@@ -180,7 +182,7 @@ func (x *Executor) runAsync(e *sim.Env, batch []*task.Task) {
 	out.Wait(e)
 	for j := head; j != nil; {
 		next := j.link
-		j.link, j.out = nil, nil
+		j.link = nil
 		x.free = append(x.free, j)
 		j = next
 	}
@@ -196,7 +198,6 @@ type copyJob struct {
 	id      uint64
 	t0      sim.Time
 	landed  *sim.WaitGroup // one-shot "input copy done" (Add(1), then Done)
-	out     *sim.WaitGroup // the batch's output-copy group
 	link    *copyJob       // next job of the batch
 	h2dStep sim.Step       // h2d
 	h2dDone sim.Step       // h2dLanded
@@ -235,6 +236,6 @@ func (j *copyJob) d2h(ce *sim.Env) sim.Cont {
 
 func (j *copyJob) d2hLanded(ce *sim.Env) sim.Cont {
 	j.x.span(SpanD2H, j.t0, ce.Now(), j.size, j.id)
-	j.out.Done()
+	j.x.out.Done()
 	return sim.Done()
 }
