@@ -109,7 +109,10 @@ serve-smoke:
 	$(GO) test -run '^TestServeSmoke$$' -count=1 -timeout 5m ./cmd/anthill-serve
 
 # The full seed-1 report must match the checked-in digest byte-for-byte
-# (scripts/exp_all_seed1.sha256). Regenerate the digest only for intentional
+# (scripts/exp_all_seed1.sha256), and so must the seed-1 open-system outputs
+# (scripts/open_system_seed1.sha256): the serving report, its scripted
+# -arrivals variant, the policylab report and the serving capture's trace,
+# metrics and explain artifacts. Regenerate a digest only for intentional
 # model changes; a mismatch after a refactor means determinism broke.
 byte-identity:
 	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
@@ -117,7 +120,16 @@ byte-identity:
 	want=$$(cut -d' ' -f1 scripts/exp_all_seed1.sha256); \
 	got=$$(sha256sum "$$dir/exp_all_seed1.md" | cut -d' ' -f1); \
 	if [ "$$got" = "$$want" ]; then echo "byte-identity: exp all seed 1 matches digest"; \
-	else echo "byte-identity: digest mismatch (want $$want, got $$got)"; exit 1; fi
+	else echo "byte-identity: digest mismatch (want $$want, got $$got)"; exit 1; fi; \
+	$(GO) run ./cmd/anthill-sim -exp serving -seed 1 -parallel=false -o "$$dir/serving_seed1.md" && \
+	$(GO) run ./cmd/anthill-sim -exp serving -seed 1 -parallel=false -o "$$dir/serving_arrivals_seed1.md" \
+	    -arrivals 'poisson:rate=4000,n=600;burst:rate=1000,n=200,peak=4,period=50ms' && \
+	$(GO) run ./cmd/anthill-sim -exp policylab -seed 1 -parallel=false -o "$$dir/policylab_seed1.md" && \
+	$(GO) run ./cmd/anthill-sim -exp serving -seed 1 -parallel=false -o /dev/null \
+	    -trace "$$dir/serving_seed1.trace.json" -metrics-out "$$dir/serving_seed1.metrics.json" \
+	    -explain-out "$$dir/serving_seed1.explain.json" && \
+	(cd "$$dir" && sha256sum -c "$(CURDIR)/scripts/open_system_seed1.sha256") && \
+	echo "byte-identity: open-system seed-1 outputs match digests"
 
 # Mid-weight verification: vet + tier-1 tests + fuzz smoke + the chaos
 # fault-injection determinism check (serial vs 4 workers, seeds 1-3) + the

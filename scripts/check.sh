@@ -53,6 +53,11 @@ go test -run '^TestSendThen|^TestCopyThen' -count=1 -timeout 5m ./internal/hw
 echo "== chaos determinism  (serial vs 4-worker fault-injection sweeps, seeds 1-3)"
 go test -run '^TestChaosDeterminism$' -timeout 20m ./internal/experiments
 
+# pindir collects the seed-1 open-system outputs pinned by
+# scripts/open_system_seed1.sha256; the report byte-identity step checks them.
+pindir=$(mktemp -d)
+trap 'rm -rf "$pindir"' EXIT
+
 echo "== serving determinism  (serial vs 4-worker open-system sweeps, seeds 1-3)"
 go test -race -run '^TestServing' -timeout 20m ./internal/experiments
 servingspec='poisson:rate=4000,n=600;burst:rate=1000,n=200,peak=4,period=50ms'
@@ -63,6 +68,7 @@ for seed in 1 2 3; do
     go run ./cmd/anthill-sim -exp serving -seed "$seed" -parallel -workers 4 \
         -arrivals "$servingspec" -o "$servingdir/b.md"
     cmp "$servingdir/a.md" "$servingdir/b.md"
+    if [ "$seed" = 1 ]; then cp "$servingdir/a.md" "$pindir/serving_arrivals_seed1.md"; fi
 done
 rm -rf "$servingdir"
 
@@ -75,6 +81,7 @@ for seed in 1 2 3; do
     go run ./cmd/anthill-sim -exp policylab -seed "$seed" -parallel -workers 4 \
         -o "$labdir/b.md"
     cmp "$labdir/a.md" "$labdir/b.md"
+    if [ "$seed" = 1 ]; then cp "$labdir/a.md" "$pindir/policylab_seed1.md"; fi
 done
 rm -rf "$labdir"
 
@@ -83,7 +90,7 @@ go test -run '^TestServeSmoke$' -count=1 -timeout 5m ./cmd/anthill-serve
 
 echo "== trace determinism  (same-seed -trace/-metrics-out captures must be byte-identical)"
 tracedir=$(mktemp -d)
-trap 'rm -rf "$tracedir"' EXIT
+trap 'rm -rf "$tracedir" "$pindir"' EXIT
 go run ./cmd/anthill-sim -exp fig7 -seed 1 -o /dev/null \
     -trace "$tracedir/a.trace.json" -metrics-out "$tracedir/a.metrics.json"
 go run ./cmd/anthill-sim -exp fig7 -seed 1 -o /dev/null \
@@ -115,6 +122,18 @@ if [ "$got" != "$want" ]; then
     echo "The full seed-1 report changed. If the change is an intentional model" >&2
     echo "update, regenerate the digest; if this is a refactor, it broke" >&2
     echo "byte-for-byte determinism." >&2
+    exit 1
+fi
+
+echo "== open-system byte-identity  (serving, scripted serving, policylab and serving capture, seed 1, against the checked-in digests)"
+go run ./cmd/anthill-sim -exp serving -seed 1 -parallel=false -o "$pindir/serving_seed1.md"
+go run ./cmd/anthill-sim -exp serving -seed 1 -parallel=false -o /dev/null \
+    -trace "$pindir/serving_seed1.trace.json" -metrics-out "$pindir/serving_seed1.metrics.json" \
+    -explain-out "$pindir/serving_seed1.explain.json"
+digests="$(pwd)/scripts/open_system_seed1.sha256"
+if ! (cd "$pindir" && sha256sum -c "$digests"); then
+    echo "open-system seed-1 outputs differ from scripts/open_system_seed1.sha256." >&2
+    echo "Regenerate the digests only for an intentional model change." >&2
     exit 1
 fi
 
