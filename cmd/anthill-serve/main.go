@@ -37,6 +37,7 @@ import (
 	"time"
 
 	"repro/internal/arrival"
+	"repro/internal/policy"
 	"repro/internal/serve"
 	"repro/internal/sim"
 )
@@ -54,6 +55,26 @@ func parseDilation(s string) (float64, error) {
 	return d, nil
 }
 
+// baselineNames lists the paper's policy trio, lower-cased, as the
+// -policies default.
+func baselineNames() string {
+	var names []string
+	for _, c := range policy.Baseline() {
+		names = append(names, strings.ToLower(c.Name))
+	}
+	return strings.Join(names, ",")
+}
+
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so a slow or stalled client cannot hold a connection open. There
+// is deliberately no WriteTimeout: /stream is a long-lived SSE response.
+const readHeaderTimeout = 5 * time.Second
+
+// newServer is the demo's HTTP server around handler h.
+func newServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}
+}
+
 func main() {
 	if err := run(); err != nil {
 		fmt.Fprintf(os.Stderr, "anthill-serve: %v\n", err)
@@ -66,16 +87,16 @@ func run() error {
 		arrivals = flag.String("arrivals", "poisson:rate=4000,n=2000",
 			"arrival schedule spec (poisson:rate=R,n=N | uniform:... | burst:...,peak=P,period=S | trace:at=t1/t2/...; ';'-separated)")
 		seed     = flag.Int64("seed", 1, "simulation seed")
-		policies = flag.String("policies", strings.Join(serve.PolicyNames, ","),
+		policies = flag.String("policies", baselineNames(),
 			"comma-separated stream policies to race")
 		dilation = flag.String("dilation", "100x",
 			"time dilation: virtual time runs N times slower than wall time")
 		addr       = flag.String("addr", "127.0.0.1:8080", "listen address (port 0 picks a free port)")
-		windowMS   = flag.Float64("window-ms", 25, "sliding percentile window width, virtual ms")
-		windows    = flag.Int("windows", 8, "number of sliding windows")
-		sloMS      = flag.Float64("slo-ms", 5, "end-to-end latency SLO, virtual ms")
-		queueLimit = flag.Int("queue-limit", 32, "gateway admission queue limit")
-		eventCap   = flag.Int("event-cap", 4096, "bounded event ring capacity")
+		windowMS   = flag.Float64("window-ms", float64(serve.DefaultWindow/sim.Millisecond), "sliding percentile window width, virtual ms")
+		windows    = flag.Int("windows", serve.DefaultWindows, "number of sliding windows")
+		sloMS      = flag.Float64("slo-ms", float64(serve.DefaultSLO/sim.Millisecond), "end-to-end latency SLO, virtual ms")
+		queueLimit = flag.Int("queue-limit", serve.DefaultQueueLimit, "gateway admission queue limit")
+		eventCap   = flag.Int("event-cap", serve.DefaultEventCap, "bounded event ring capacity")
 		tickMS     = flag.Float64("tick-ms", 50, "wall-clock pacing tick, ms")
 		frameMS    = flag.Float64("frame-ms", 500, "SSE frame interval, wall ms")
 	)
@@ -199,7 +220,7 @@ func run() error {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 
-	server := &http.Server{Handler: mux}
+	server := newServer(mux)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- server.Serve(ln) }()
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os/exec"
 	"path/filepath"
@@ -28,6 +29,41 @@ func TestParseDilation(t *testing.T) {
 		if (err == nil) != tc.ok || got != tc.want {
 			t.Errorf("parseDilation(%q) = (%g, %v), want (%g, ok=%v)", tc.in, got, err, tc.want, tc.ok)
 		}
+	}
+}
+
+// TestSlowHeadersDisconnected checks the server bounds slow clients: a
+// connection that sends part of a request and never finishes its headers
+// is closed once readHeaderTimeout passes.
+func TestSlowHeadersDisconnected(t *testing.T) {
+	t.Parallel()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newServer(http.NotFoundHandler())
+	go srv.Serve(ln)
+	defer srv.Close()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET / HTTP/1.1\r\nHost: localhost\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := conn.SetReadDeadline(start.Add(readHeaderTimeout + 5*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	// ReadAll returns nil at EOF, i.e. once the server hangs up; a client
+	// the server keeps waiting on hits the read deadline instead.
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("server kept the half-sent request open: %v", err)
+	}
+	if waited := time.Since(start); waited < readHeaderTimeout/2 {
+		t.Fatalf("connection closed after %v, before the %v header timeout", waited, readHeaderTimeout)
 	}
 }
 

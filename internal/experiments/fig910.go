@@ -168,19 +168,12 @@ func runTable6(cfg Config) *Report {
 		hetero bool
 		nodes  int
 	}{{"homo", false, 1}, {"hetero", true, 2}}
-	pols := []struct {
-		name string
-		pol  func() policy.StreamPolicy
-	}{
-		{"DDFCFS", func() policy.StreamPolicy { return policy.DDFCFS(ddfcfsReq) }},
-		{"DDWRR", func() policy.StreamPolicy { return policy.DDWRR(ddwrrReq) }},
-		{"ODDS", func() policy.StreamPolicy { return policy.ODDS() }},
-	}
+	pols := policy.Baseline()
 	// Point grid: (environment, policy), policies contiguous per environment.
 	shares := SweepMap(len(envs)*len(pols), func(i int) [2]float64 {
 		env, p := envs[i/len(pols)], pols[i%len(pols)]
 		res := nbiaCase{hetero: env.hetero, nodes: env.nodes, tiles: tiles, rate: 0.08,
-			pol: p.pol(), useGPU: true, cpuWorkers: -1, records: true, seed: cfg.Seed}.run()
+			pol: p.New(), useGPU: true, cpuWorkers: -1, records: true, seed: cfg.Seed}.run()
 		prof := metrics.ProfileBy(res.Records, func(r core.ProcRecord) int {
 			return r.Payload.(nbia.TileRef).Level
 		})
@@ -188,11 +181,11 @@ func runTable6(cfg Config) *Report {
 	})
 	for ei, env := range envs {
 		for pi, p := range pols {
-			key := env.name + "/" + p.name
+			key := env.name + "/" + p.Name
 			low, high := shares[ei*len(pols)+pi][0], shares[ei*len(pols)+pi][1]
 			got[key] = [2]float64{low, high}
 			pp := paper[key]
-			tb.AddRow(env.name, p.name,
+			tb.AddRow(env.name, p.Name,
 				fmt.Sprintf("%.2f", pp[0]), fmt.Sprintf("%.2f", low),
 				fmt.Sprintf("%.2f", pp[1]), fmt.Sprintf("%.2f", high))
 		}

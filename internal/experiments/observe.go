@@ -28,6 +28,7 @@ import (
 	"repro/internal/hw"
 	"repro/internal/obs"
 	"repro/internal/policy"
+	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/span"
 	"repro/internal/task"
@@ -111,18 +112,12 @@ func captureServing(cfg Config) *ObsCapture {
 		}
 		times = sched.Times(cfg.Seed)
 	} else {
-		horizon := servingHorizon(cfg)
-		rate := 0.7 * servingCapacity
-		sched := &arrival.Schedule{Procs: []arrival.Proc{{
-			Kind: arrival.Poisson, Rate: rate, N: int(rate * float64(horizon)),
-		}}}
-		times = sched.Times(cfg.Seed)
+		// 0.7*serve.Capacity is a constant expression, rounded once; the
+		// capture's schedule depends on those exact bits.
+		times = servingTimes(cfg, 0.7*serve.Capacity, cfg.Seed)
 	}
 	k := sim.NewKernel(cfg.Seed)
-	cl := hw.NewCluster(k, []hw.NodeSpec{
-		{CPUCores: 2},
-		{CPUCores: 2, HasGPU: true},
-	}, nil)
+	cl := hw.NewCluster(k, serve.Pool(), nil)
 	rt := core.New(cl, nil)
 	log := trace.NewChromeLog()
 	reg := obs.NewRegistry()
@@ -130,27 +125,7 @@ func captureServing(cfg Config) *ObsCapture {
 	log.Attach(rt)
 	reg.Attach(rt)
 	col.Attach(rt)
-	gw := rt.AddFilter(core.FilterSpec{
-		Name: "gateway", Placement: []int{0},
-		Open: true, QueueLimit: servingQueueLimit,
-	})
-	srv := rt.AddFilter(core.FilterSpec{
-		Name: "serve", Placement: []int{0, 1},
-		CPUWorkers: 1, UseGPU: true, GPUWorkers: 1,
-		Handler: func(ctx *core.Ctx, tk *task.Task) core.Action { return core.Action{} },
-	})
-	rt.Connect(gw, srv, policy.ODDS())
-	arrival.Drive(rt, gw, times, func(int) *task.Task {
-		return &task.Task{
-			Size: 8 << 10, OutSize: 1 << 10,
-			Cost: func(kw hw.Kind) sim.Time {
-				if kw == hw.GPU {
-					return servingGPUCost
-				}
-				return servingCPUCost
-			},
-		}
-	})
+	serve.Pipeline(rt, "", 0, []int{0, 1}, policy.ODDS(), serve.DefaultQueueLimit, times, serve.Request)
 	res, err := rt.Run()
 	if err != nil {
 		panic(fmt.Sprintf("experiments: serving capture failed: %v", err))

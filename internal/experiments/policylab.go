@@ -24,8 +24,8 @@ import (
 	"repro/internal/fault"
 	"repro/internal/hw"
 	"repro/internal/metrics"
-	"repro/internal/obs"
 	"repro/internal/policy"
+	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/span"
 	"repro/internal/task"
@@ -48,16 +48,10 @@ const (
 	labIntensity = 0.66
 	// labReq is the static request size every demand policy runs with.
 	labReq = 4
-	// labCPUCost / labGPUCost are the open-system per-request service
-	// times (the serving experiment's pair).
-	labCPUCost = sim.Millisecond
-	labGPUCost = 300 * sim.Microsecond
 	// labLoad is the open-system offered load as a fraction of the
 	// shape's aggregate service capacity: high enough to build queues
 	// (tails differ between policies) without tipping into overload.
 	labLoad = 0.9
-	// labQueueLimit bounds the open-system gateway queue.
-	labQueueLimit = 32
 )
 
 func labTiles(cfg Config) int {
@@ -114,7 +108,7 @@ func (s labShape) cluster(k *sim.Kernel) *hw.Cluster {
 // capacity is the shape's aggregate open-system service rate in requests/s:
 // one CPU worker per node plus one GPU worker per GPU node.
 func (s labShape) capacity() float64 {
-	return float64(s.nodes())/labCPUCost.Seconds() + float64(s.gpus)/labGPUCost.Seconds()
+	return float64(s.nodes())/serve.CPUCost.Seconds() + float64(s.gpus)/serve.GPUCost.Seconds()
 }
 
 // labPolicyDef is one raced policy: a name and a fresh-per-run constructor
@@ -242,63 +236,25 @@ func runLabOpen(cfg Config, s labShape, def labPolicyDef, seed int64, pt *labPoi
 	k := sim.NewKernel(seed)
 	rt := core.New(s.cluster(k), nil)
 	pol := def.mk()
-	hooks := labHooks(pol)
+	rate := labLoad * s.capacity()
+	sched := &arrival.Schedule{Procs: []arrival.Proc{{
+		Kind: arrival.Poisson, Rate: rate, N: int(rate * labHorizon(cfg).Seconds()),
+	}}}
+	times := sched.Times(seed)
 
-	sketch := obs.NewSketch(obs.DefaultEps)
-	admitAt := map[uint64]sim.Time{}
-	served := map[uint64]int{}
-	rt.Hooks = core.Bus{
-		Admit: func(r core.AdmitRecord) {
-			if r.Accepted {
-				admitAt[r.TaskID] = r.At
-			}
-		},
-		Process: func(r core.ProcRecord) {
-			if r.Filter != "serve" {
-				return
-			}
-			served[r.TaskID]++
-			if at, ok := admitAt[r.TaskID]; ok {
-				sketch.Add(float64(r.End - at))
-			}
-		},
-	}
-	if hooks != nil {
+	sink := serve.NewSink("", serve.DefaultSLO, len(times))
+	sink.Attach(rt)
+	if hooks := labHooks(pol); hooks != nil {
 		hooks(rt)
 	}
-
 	placement := make([]int, s.nodes())
 	for i := range placement {
 		placement[i] = i
 	}
-	gw := rt.AddFilter(core.FilterSpec{
-		Name: "gateway", Placement: []int{0},
-		Open: true, QueueLimit: labQueueLimit,
-	})
-	srv := rt.AddFilter(core.FilterSpec{
-		Name: "serve", Placement: placement,
-		CPUWorkers: 1, UseGPU: true, GPUWorkers: 1,
-		Handler: func(ctx *core.Ctx, tk *task.Task) core.Action { return core.Action{} },
-	})
-	rt.Connect(gw, srv, pol)
-
-	horizon := labHorizon(cfg)
-	rate := labLoad * s.capacity()
-	sched := &arrival.Schedule{Procs: []arrival.Proc{{
-		Kind: arrival.Poisson, Rate: rate, N: int(rate * horizon.Seconds()),
-	}}}
-	st := arrival.Drive(rt, gw, sched.Times(seed), func(int) *task.Task {
-		t := &task.Task{
-			Size: 8 << 10, OutSize: 1 << 10,
-			Cost: func(kw hw.Kind) sim.Time {
-				if kw == hw.GPU {
-					return labGPUCost
-				}
-				return labCPUCost
-			},
-		}
+	st := serve.Pipeline(rt, "", 0, placement, pol, serve.DefaultQueueLimit, times, func(k int) *task.Task {
+		t := serve.Request(k)
 		t.Weight[hw.CPU] = 1
-		t.Weight[hw.GPU] = float64(labCPUCost) / float64(labGPUCost)
+		t.Weight[hw.GPU] = float64(serve.CPUCost) / float64(serve.GPUCost)
 		t.ComputeKeys()
 		return t
 	})
@@ -310,17 +266,14 @@ func runLabOpen(cfg Config, s labShape, def labPolicyDef, seed int64, pt *labPoi
 		pt.err = fmt.Errorf("open: %w", err)
 		return
 	}
-	dupes := 0
-	for _, n := range served {
-		if n > 1 {
-			dupes++
-		}
+	if sink.Err != nil {
+		pt.err = fmt.Errorf("open: %w", sink.Err)
+		return
 	}
-	pt.p99 = sim.Time(sketch.Quantile(0.99))
+	pt.p99 = sim.Time(sink.Cum.Quantile(0.99))
 	pt.shed = st.Rejected
 	pt.offered = st.Offered
-	pt.reqOK = dupes == 0 && len(served) == st.Accepted &&
-		st.Accepted+st.Rejected == st.Offered
+	pt.reqOK = sink.Served == st.Accepted && st.Accepted+st.Rejected == st.Offered
 }
 
 // runPolicylabPoint runs all three legs of one (shape, policy) cell.

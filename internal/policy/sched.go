@@ -407,6 +407,22 @@ func Constructors() []Constructor {
 	}
 }
 
+// Baseline returns the paper's demand-driven trio as the chaos, serving
+// and Figure 10 studies and the live server race it, in report order:
+// DDFCFS with request size 4, DDWRR with request size 32 and ODDS. It is
+// not Constructors(): the registry's DDWRR uses request size 4, which the
+// policy lab's matrix depends on, while the trio's DDWRR needs the deep
+// queue the paper's Figure 11 search lands on for its intra-filter sorting
+// to act. Switching one list to the other would change the DDWRR pipeline
+// of whichever studies switched, and with it the live server's /metrics.
+func Baseline() []Constructor {
+	return []Constructor{
+		{"DDFCFS", func() StreamPolicy { return DDFCFS(4) }},
+		{"DDWRR", func() StreamPolicy { return DDWRR(32) }},
+		{"ODDS", func() StreamPolicy { return ODDS() }},
+	}
+}
+
 // Affinity is the XKaapi-style data-locality policy: FIFO queues (the
 // scheduler's score replaces the per-kind heaps) with a fresh
 // AffinitySched and a static request size.

@@ -32,22 +32,10 @@ import (
 	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/span"
-	"repro/internal/task"
 )
 
-// Per-request service costs and pool shape, mirroring the serving
-// experiment: each policy pipeline gets a private two-node pool (one
-// CPU-only node, one GPU node) so the policies compete on identical,
-// isolated hardware.
+// Engine defaults beside the pipeline's DefaultSLO and DefaultQueueLimit.
 const (
-	cpuCost = sim.Millisecond
-	gpuCost = 300 * sim.Microsecond
-
-	// DefaultSLO is the end-to-end latency objective, as in the serving
-	// experiment.
-	DefaultSLO = 5 * sim.Millisecond
-	// DefaultQueueLimit bounds each gateway's send queue.
-	DefaultQueueLimit = 32
 	// DefaultWindow and DefaultWindows size the sliding percentile window:
 	// 8 windows of 25 ms = percentiles over the last 200 ms of virtual time.
 	DefaultWindow  = 25 * sim.Millisecond
@@ -56,38 +44,18 @@ const (
 	DefaultEventCap = 4096
 )
 
-// Capacity is one pipeline's aggregate service rate in requests per second
-// (two CPU workers plus one GPU worker).
-const Capacity = 2.0/0.001 + 1.0/0.0003
-
-// PolicyNames are the recognized -policies values, in canonical order.
-var PolicyNames = []string{"ddfcfs", "ddwrr", "odds"}
-
-// ctor returns the constructor for a policy name (case-insensitive).
-func ctor(name string) (func() policy.StreamPolicy, error) {
-	switch strings.ToLower(name) {
-	case "ddfcfs":
-		return func() policy.StreamPolicy { return policy.DDFCFS(4) }, nil
-	case "ddwrr":
-		return func() policy.StreamPolicy { return policy.DDWRR(32) }, nil
-	case "odds":
-		return func() policy.StreamPolicy { return policy.ODDS() }, nil
-	}
-	return nil, fmt.Errorf("serve: unknown policy %q (have %s)", name, strings.Join(PolicyNames, ", "))
-}
-
-// Config parameterizes an Engine. Zero values take the defaults above;
+// Config parameterizes an Engine. Zero values take the Default* constants;
 // Times is required.
 type Config struct {
 	Seed       int64
-	Policies   []string   // subset of PolicyNames; nil = all
+	Policies   []string   // names from policy.Baseline, any case; nil = all
 	Times      []sim.Time // arrival instants, shared by every pipeline
 	SLO        sim.Time
 	QueueLimit int
 	Window     sim.Time
 	Windows    int
 	EventCap   int
-	// DisableSink skips attaching the live sink (engine hook bus, obs
+	// DisableSink skips attaching the live sink (the pipelines' Sinks, obs
 	// registry, span collector), leaving the simulation hook-free: frames
 	// and /metrics stay empty. Benchmarks use it to price the sink —
 	// cmd/benchsweep's live_sink_overhead_pct row is Advance-to-drain with
@@ -96,9 +64,6 @@ type Config struct {
 }
 
 func (c *Config) defaults() {
-	if len(c.Policies) == 0 {
-		c.Policies = PolicyNames
-	}
 	if c.SLO == 0 {
 		c.SLO = DefaultSLO
 	}
@@ -116,32 +81,15 @@ func (c *Config) defaults() {
 	}
 }
 
-// worst is the stage breakdown of a pipe's worst SLO violator so far.
-type worst struct {
-	taskID                     uint64
-	node                       int
-	kind                       hw.Kind
-	admit, deliver, start, end sim.Time
-}
-
-func (w worst) latency() sim.Time { return w.end - w.admit }
-
-// pipe is the live state of one policy's pipeline.
+// pipe is the live state of one policy's pipeline: its sink, fed from the
+// hook bus, plus the views Frame renders lazily from it.
 type pipe struct {
-	name       string
-	stats      *arrival.Stats
-	admitAt    map[uint64]sim.Time
-	deliverAt  map[uint64]sim.Time
-	win        *obs.WindowedSketch
-	cum        *obs.Sketch
-	served     int
-	violations int
-	curDepth   int
-	maxDepth   int
-	worst      worst
-	worstDirty bool   // a new worst arrived since the lineage was last built
-	lineage    string // rendered span breakdown of the worst violator
-	breakdown  string // rendered stage breakdown of the worst violator
+	name      string
+	stats     *arrival.Stats
+	sink      *Sink
+	shown     uint64 // the worst violator breakdown and lineage describe
+	lineage   string // rendered span breakdown of the worst violator
+	breakdown string // rendered stage breakdown of the worst violator
 }
 
 // Event is one entry of the bounded JSONL stream: an admission shed or an
@@ -177,144 +125,78 @@ type Engine struct {
 	err     error
 }
 
-// New builds the engine: one kernel, one runtime, an isolated two-node
-// pool and gateway->serve pipeline per policy, hooks feeding the engine's
-// live state, a span collector for lineage, and an obs registry for
-// /metrics. The runtime is started; call Advance to make progress.
+// New builds the engine: one kernel, one runtime, an isolated Pool and
+// Pipeline per policy, a Sink per pipeline feeding the engine's live state,
+// a span collector for lineage, and an obs registry for /metrics. The
+// runtime is started; call Advance to make progress.
 func New(cfg Config) (*Engine, error) {
 	cfg.defaults()
 	if len(cfg.Times) == 0 {
 		return nil, fmt.Errorf("serve: no arrival instants")
 	}
-	ctors := make([]func() policy.StreamPolicy, len(cfg.Policies))
-	for i, name := range cfg.Policies {
-		c, err := ctor(name)
-		if err != nil {
-			return nil, err
+	pols := policy.Baseline()
+	if len(cfg.Policies) > 0 {
+		pols = make([]policy.Constructor, len(cfg.Policies))
+		for i, name := range cfg.Policies {
+			c, err := baseline(name)
+			if err != nil {
+				return nil, err
+			}
+			pols[i] = c
 		}
-		ctors[i] = c
 	}
 
 	e := &Engine{cfg: cfg, k: sim.NewKernel(cfg.Seed), ring: make([]Event, 0, cfg.EventCap)}
-	specs := make([]hw.NodeSpec, 0, 2*len(cfg.Policies))
-	for range cfg.Policies {
-		specs = append(specs, hw.NodeSpec{CPUCores: 2}, hw.NodeSpec{CPUCores: 2, HasGPU: true})
+	specs := make([]hw.NodeSpec, 0, 2*len(pols))
+	for range pols {
+		specs = append(specs, Pool()...)
 	}
 	e.rt = core.New(hw.NewCluster(e.k, specs, nil), nil)
 
-	byFilter := make(map[string]*pipe, 2*len(cfg.Policies))
-	for _, name := range cfg.Policies {
-		p := &pipe{
-			name:      strings.ToLower(name),
-			admitAt:   make(map[uint64]sim.Time, len(cfg.Times)),
-			deliverAt: make(map[uint64]sim.Time, len(cfg.Times)),
-			win:       obs.NewWindowedSketch(obs.DefaultEps, cfg.Window, cfg.Windows),
-			cum:       obs.NewSketch(obs.DefaultEps),
+	for _, c := range pols {
+		name := strings.ToLower(c.Name)
+		p := &pipe{name: name, sink: NewSink("-"+name, cfg.SLO, len(cfg.Times))}
+		p.sink.Win = obs.NewWindowedSketch(obs.DefaultEps, cfg.Window, cfg.Windows)
+		p.sink.OnEvent = func(ev Event) {
+			ev.Policy = p.name
+			e.record(ev)
 		}
 		e.pipes = append(e.pipes, p)
-		byFilter["gateway-"+p.name] = p
-		byFilter["serve-"+p.name] = p
 	}
 
-	// Engine hooks are installed first, then the span collector and the
+	// The sinks are installed first, then the span collector and the
 	// registry chain in front (later-attached subscribers fire first), so by
-	// the time the engine sees a record the collector has already recorded
-	// the lineage it would need for BuildRequest. Every hook runs inside
+	// the time a sink sees a record the collector has already recorded the
+	// lineage Frame would need for BuildRequest. Every hook runs inside
 	// Advance, which holds e.mu — pipe state needs no extra lock.
 	if !cfg.DisableSink {
-		e.installSink(byFilter)
+		for _, p := range e.pipes {
+			p.sink.Attach(e.rt)
+		}
+		e.col = span.NewCollector()
+		e.col.Attach(e.rt)
+		e.reg = obs.NewRegistry()
+		e.reg.Attach(e.rt)
 	}
 
-	for i := range cfg.Policies {
-		p := e.pipes[i]
-		gw := e.rt.AddFilter(core.FilterSpec{
-			Name: "gateway-" + p.name, Placement: []int{2 * i},
-			Open: true, QueueLimit: cfg.QueueLimit,
-		})
-		srv := e.rt.AddFilter(core.FilterSpec{
-			Name: "serve-" + p.name, Placement: []int{2 * i, 2*i + 1},
-			CPUWorkers: 1, UseGPU: true, GPUWorkers: 1,
-			Handler: func(ctx *core.Ctx, tk *task.Task) core.Action { return core.Action{} },
-		})
-		e.rt.Connect(gw, srv, ctors[i]())
-		p.stats = arrival.Drive(e.rt, gw, cfg.Times, func(int) *task.Task {
-			return &task.Task{
-				Size: 8 << 10, OutSize: 1 << 10,
-				Cost: func(kw hw.Kind) sim.Time {
-					if kw == hw.GPU {
-						return gpuCost
-					}
-					return cpuCost
-				},
-			}
-		})
+	for i, p := range e.pipes {
+		p.stats = Pipeline(e.rt, "-"+p.name, 2*i, []int{2 * i, 2*i + 1}, pols[i].New(),
+			cfg.QueueLimit, cfg.Times, Request)
 	}
 	e.rt.Start()
 	return e, nil
 }
 
-// installSink wires the engine's hook bus, the span collector, and the obs
-// registry onto the runtime (see the ordering note at the call site).
-func (e *Engine) installSink(byFilter map[string]*pipe) {
-	e.rt.Hooks = core.Bus{
-		Admit: func(r core.AdmitRecord) {
-			p := byFilter[r.Filter]
-			if p == nil {
-				return
-			}
-			if r.Accepted {
-				p.admitAt[r.TaskID] = r.At
-				return
-			}
-			e.record(Event{At: float64(r.At), Policy: p.name, Type: "shed", Task: r.TaskID})
-		},
-		QueueDepth: func(r core.QueueDepthRecord) {
-			p := byFilter[r.Filter]
-			if p == nil || !strings.HasPrefix(r.Filter, "gateway-") || r.Queue != "send" {
-				return
-			}
-			p.curDepth = r.Depth
-			if r.Depth > p.maxDepth {
-				p.maxDepth = r.Depth
-			}
-		},
-		Deliver: func(r core.DeliverRecord) {
-			p := byFilter[r.Filter]
-			if p == nil || !strings.HasPrefix(r.Filter, "serve-") {
-				return
-			}
-			p.deliverAt[r.TaskID] = r.At
-		},
-		Process: func(r core.ProcRecord) {
-			p := byFilter[r.Filter]
-			if p == nil || !strings.HasPrefix(r.Filter, "serve-") {
-				return
-			}
-			at, ok := p.admitAt[r.TaskID]
-			if !ok {
-				return // defensive: processed without an admit record
-			}
-			lat := r.End - at
-			p.served++
-			p.win.Add(r.End, float64(lat))
-			p.cum.Add(float64(lat))
-			if lat <= e.cfg.SLO {
-				return
-			}
-			p.violations++
-			e.record(Event{At: float64(r.End), Policy: p.name, Type: "slo_violation",
-				Task: r.TaskID, LatencyMS: float64(lat) / float64(sim.Millisecond)})
-			if lat > p.worst.latency() || p.worst.taskID == 0 {
-				p.worst = worst{taskID: r.TaskID, node: r.NodeID, kind: r.Kind,
-					admit: at, deliver: p.deliverAt[r.TaskID], start: r.Start, end: r.End}
-				p.worstDirty = true
-			}
-		},
+// baseline resolves a -policies name against policy.Baseline, ignoring case.
+func baseline(name string) (policy.Constructor, error) {
+	var have []string
+	for _, c := range policy.Baseline() {
+		if strings.ToLower(name) == strings.ToLower(c.Name) {
+			return c, nil
+		}
+		have = append(have, strings.ToLower(c.Name))
 	}
-	e.col = span.NewCollector()
-	e.col.Attach(e.rt)
-	e.reg = obs.NewRegistry()
-	e.reg.Attach(e.rt)
+	return policy.Constructor{}, fmt.Errorf("serve: unknown policy %q (have %s)", name, strings.Join(have, ", "))
 }
 
 // record appends to the bounded event ring, overwriting the oldest entry
@@ -331,8 +213,8 @@ func (e *Engine) record(ev Event) {
 
 // Advance runs the simulation up to virtual time v (inclusive). It returns
 // done=true once every event has drained — all arrivals injected and every
-// admitted request served — after which the run's invariants have been
-// validated and further calls are no-ops.
+// admitted request served — after which the run's invariants and every
+// sink's exactly-once audit have been checked and further calls are no-ops.
 func (e *Engine) Advance(v sim.Time) (done bool, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -348,6 +230,11 @@ func (e *Engine) Advance(v sim.Time) (done bool, err error) {
 		e.err = kerr
 		if e.err == nil {
 			_, e.err = e.rt.Finish()
+		}
+		for _, p := range e.pipes {
+			if e.err == nil {
+				e.err = p.sink.Err
+			}
 		}
 	}
 	return e.done, e.err
@@ -447,14 +334,12 @@ func (e *Engine) Frame() Frame {
 	f := Frame{VirtualS: float64(now), Done: e.done, Pipes: make([]PipeFrame, 0, len(e.pipes))}
 	ms := func(t float64) float64 { return t / float64(sim.Millisecond) }
 	for _, p := range e.pipes {
-		if p.worstDirty {
-			p.worstDirty = false
-			p.breakdown = fmt.Sprintf("task %d via serve/%d (%s): total %.3f ms = gateway %.3f + wait %.3f + service %.3f",
-				p.worst.taskID, p.worst.node, p.worst.kind,
-				ms(float64(p.worst.latency())), ms(float64(p.worst.deliver-p.worst.admit)),
-				ms(float64(p.worst.start-p.worst.deliver)), ms(float64(p.worst.end-p.worst.start)))
+		s := p.sink
+		if w := s.Worst; w.TaskID != p.shown {
+			p.shown = w.TaskID
+			p.breakdown = w.String()
 			p.lineage = ""
-			if a, err := e.col.BuildRequest(p.worst.taskID); err == nil {
+			if a, err := e.col.BuildRequest(w.TaskID); err == nil {
 				p.lineage = a.Breakdown()
 			}
 		}
@@ -462,7 +347,7 @@ func (e *Engine) Frame() Frame {
 		if el := float64(now); el > 0 && el < winSpan {
 			winSpan = el
 		}
-		count := p.win.Count(now)
+		count := s.Win.Count(now)
 		rps := 0.0
 		if winSpan > 0 {
 			rps = float64(count) / winSpan
@@ -470,18 +355,18 @@ func (e *Engine) Frame() Frame {
 		pf := PipeFrame{
 			Policy:  p.name,
 			Offered: p.stats.Offered, Accepted: p.stats.Accepted, Shed: p.stats.Rejected,
-			Served: p.served, Violations: p.violations,
-			QueueDepth: p.curDepth, MaxQueueDepth: p.maxDepth,
+			Served: s.Served, Violations: s.Violations,
+			QueueDepth: s.Depth, MaxQueueDepth: s.MaxDepth,
 			WindowCount:   count,
-			P50ms:         ms(p.win.Quantile(now, 0.50)),
-			P99ms:         ms(p.win.Quantile(now, 0.99)),
-			P999ms:        ms(p.win.Quantile(now, 0.999)),
-			CumP99ms:      ms(p.cum.Quantile(0.99)),
+			P50ms:         ms(s.Win.Quantile(now, 0.50)),
+			P99ms:         ms(s.Win.Quantile(now, 0.99)),
+			P999ms:        ms(s.Win.Quantile(now, 0.999)),
+			CumP99ms:      ms(s.Cum.Quantile(0.99)),
 			ThroughputRPS: rps,
 		}
-		if p.worst.taskID != 0 {
-			pf.Worst = &WorstInfo{Task: p.worst.taskID,
-				LatencyMS: ms(float64(p.worst.latency())),
+		if s.Worst.TaskID != 0 {
+			pf.Worst = &WorstInfo{Task: s.Worst.TaskID,
+				LatencyMS: ms(float64(s.Worst.Latency())),
 				Breakdown: p.breakdown, Lineage: p.lineage}
 		}
 		f.Pipes = append(f.Pipes, pf)
