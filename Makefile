@@ -7,10 +7,12 @@ all: build
 build:
 	$(GO) build ./...
 
-# go vet, then gofmt -l over every Go file outside hidden directories: any
-# output fails.
+# go vet (the root module, then the benchmark module perfbench/, which the
+# root ./... never compiles), then gofmt -l over every Go file outside hidden
+# directories: any output fails.
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 	@out=$$(find . -path './.*' -prune -o -name '*.go' -print | xargs gofmt -l); \
 	if [ -n "$$out" ]; then echo "gofmt -l: unformatted files:"; echo "$$out"; exit 1; fi
 

@@ -105,8 +105,7 @@ func main() {
 			os.Exit(1)
 		}
 		defer f.Close()
-		col := trace.Collector{Procs: res.Records}
-		if err := col.WriteProcsCSV(f); err != nil {
+		if err := trace.WriteProcsCSV(f, res.Records); err != nil {
 			fmt.Fprintln(os.Stderr, "nbia:", err)
 			os.Exit(1)
 		}

@@ -339,10 +339,10 @@ func Run(cfg Config) (*Result, error) {
 
 	res := &Result{Cluster: cfg.Cluster}
 	if cfg.RecordProcs {
-		rt.OnProcess = func(r core.ProcRecord) { res.Records = append(res.Records, r) }
+		core.Tap(&rt.Hooks.Process, func(r core.ProcRecord) { res.Records = append(res.Records, r) })
 	}
 	if cfg.RecordTargets {
-		rt.OnTarget = func(r core.TargetRecord) { res.Targets = append(res.Targets, r) }
+		core.Tap(&rt.Hooks.Target, func(r core.TargetRecord) { res.Targets = append(res.Targets, r) })
 	}
 
 	// Tiles are partitioned round-robin across reader instances, matching

@@ -2,12 +2,10 @@ package arrival
 
 import (
 	"fmt"
-	"math"
-	"sort"
-	"strconv"
 	"strings"
 
 	"repro/internal/sim"
+	"repro/internal/spec"
 )
 
 // Parse decodes a -arrivals spec into a Schedule. The syntax is a
@@ -23,20 +21,12 @@ import (
 // Rates are requests per second; times are seconds, with optional s/ms/us
 // suffixes ("0.5", "500ms"). Whitespace around processes is ignored; empty
 // processes are skipped. Malformed input returns an error, never panics.
-func Parse(spec string) (*Schedule, error) {
-	s := &Schedule{}
-	for _, raw := range strings.Split(spec, ";") {
-		part := strings.TrimSpace(raw)
-		if part == "" {
-			continue
-		}
-		p, err := parseProc(part)
-		if err != nil {
-			return nil, fmt.Errorf("arrival: process %q: %w", part, err)
-		}
-		s.Procs = append(s.Procs, p)
+func Parse(s string) (*Schedule, error) {
+	procs, err := spec.Items(s, "arrival: process", parseProc)
+	if err != nil {
+		return nil, err
 	}
-	return s, nil
+	return &Schedule{Procs: procs}, nil
 }
 
 func parseProc(part string) (Proc, error) {
@@ -57,7 +47,7 @@ func parseProc(part string) (Proc, error) {
 	default:
 		return Proc{}, fmt.Errorf("unknown arrival kind %q", strings.TrimSpace(head))
 	}
-	kv, err := parseKV(rest)
+	kv, err := spec.ParseKV(rest)
 	if err != nil {
 		return Proc{}, err
 	}
@@ -68,16 +58,16 @@ func parseProc(part string) (Proc, error) {
 			return Proc{}, err
 		}
 	case Burst:
-		if err := kv.require("peak", "period"); err != nil {
+		if err := kv.Require("peak", "period"); err != nil {
 			return Proc{}, err
 		}
 		if err := parseRated(kv, &p); err != nil {
 			return Proc{}, err
 		}
-		if p.Peak, err = kv.floatVal("peak"); err != nil {
+		if p.Peak, err = kv.Float("peak"); err != nil {
 			return Proc{}, err
 		}
-		if p.Period, err = kv.timeVal("period"); err != nil {
+		if p.Period, err = kv.Time("period"); err != nil {
 			return Proc{}, err
 		}
 		if p.Peak < 1 || p.Peak > 1000 {
@@ -87,41 +77,34 @@ func parseProc(part string) (Proc, error) {
 			return Proc{}, fmt.Errorf("period must be > 0")
 		}
 	case Trace:
-		if err := kv.require("at"); err != nil {
+		if err := kv.Require("at"); err != nil {
 			return Proc{}, err
 		}
-		if p.At, err = kv.timeList("at"); err != nil {
+		if p.At, err = timeList(kv, "at"); err != nil {
 			return Proc{}, err
 		}
 	}
-	if len(kv) > 0 {
-		// Report the smallest leftover key: map iteration order would make
-		// the error message nondeterministic with several unknown keys.
-		keys := make([]string, 0, len(kv))
-		for k := range kv {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		return Proc{}, fmt.Errorf("unknown key %q for %s arrivals", keys[0], kind)
+	if k, ok := kv.Unknown(); ok {
+		return Proc{}, fmt.Errorf("unknown key %q for %s arrivals", k, kind)
 	}
 	return p, nil
 }
 
 // parseRated decodes the rate/n/start triple common to every generated
 // (non-trace) process.
-func parseRated(kv kvMap, p *Proc) error {
-	if err := kv.require("rate", "n"); err != nil {
+func parseRated(kv spec.KV, p *Proc) error {
+	if err := kv.Require("rate", "n"); err != nil {
 		return err
 	}
 	var err error
-	if p.Rate, err = kv.floatVal("rate"); err != nil {
+	if p.Rate, err = kv.Float("rate"); err != nil {
 		return err
 	}
-	if p.N, err = kv.intVal("n"); err != nil {
+	if p.N, err = kv.Int("n"); err != nil {
 		return err
 	}
 	if _, ok := kv["start"]; ok {
-		if p.Start, err = kv.timeVal("start"); err != nil {
+		if p.Start, err = kv.Time("start"); err != nil {
 			return err
 		}
 	}
@@ -137,76 +120,15 @@ func parseRated(kv kvMap, p *Proc) error {
 	return nil
 }
 
-// kvMap holds a process's key=value pairs; accessors consume entries so
-// that leftovers can be flagged as unknown keys.
-type kvMap map[string]string
-
-func parseKV(s string) (kvMap, error) {
-	kv := make(kvMap)
-	for _, item := range strings.Split(s, ",") {
-		item = strings.TrimSpace(item)
-		if item == "" {
-			return nil, fmt.Errorf("empty key=value entry")
-		}
-		k, v, ok := strings.Cut(item, "=")
-		if !ok {
-			return nil, fmt.Errorf("entry %q is not key=value", item)
-		}
-		k, v = strings.TrimSpace(k), strings.TrimSpace(v)
-		if _, dup := kv[k]; dup {
-			return nil, fmt.Errorf("duplicate key %q", k)
-		}
-		kv[k] = v
-	}
-	return kv, nil
-}
-
-func (kv kvMap) require(keys ...string) error {
-	for _, k := range keys {
-		if _, ok := kv[k]; !ok {
-			return fmt.Errorf("missing required key %q", k)
-		}
-	}
-	return nil
-}
-
-func (kv kvMap) intVal(key string) (int, error) {
-	v, err := strconv.Atoi(kv[key])
-	if err != nil {
-		return 0, fmt.Errorf("%s: %q is not an integer", key, kv[key])
-	}
-	delete(kv, key)
-	return v, nil
-}
-
-func (kv kvMap) floatVal(key string) (float64, error) {
-	v, err := strconv.ParseFloat(kv[key], 64)
-	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
-		return 0, fmt.Errorf("%s: %q is not a finite number", key, kv[key])
-	}
-	delete(kv, key)
-	return v, nil
-}
-
-// timeVal parses a duration in seconds with an optional s/ms/us suffix.
-func (kv kvMap) timeVal(key string) (sim.Time, error) {
-	v, err := parseTime(kv[key])
-	if err != nil {
-		return 0, fmt.Errorf("%s: %w", key, err)
-	}
-	delete(kv, key)
-	return v, nil
-}
-
 // timeList parses a '/'-separated ascending list of instants.
-func (kv kvMap) timeList(key string) ([]sim.Time, error) {
+func timeList(kv spec.KV, key string) ([]sim.Time, error) {
 	items := strings.Split(kv[key], "/")
 	if len(items) > maxCount {
 		return nil, fmt.Errorf("%s: more than %d instants", key, maxCount)
 	}
 	out := make([]sim.Time, 0, len(items))
 	for _, item := range items {
-		v, err := parseTime(strings.TrimSpace(item))
+		v, err := spec.ParseTime(strings.TrimSpace(item))
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", key, err)
 		}
@@ -220,22 +142,4 @@ func (kv kvMap) timeList(key string) ([]sim.Time, error) {
 	}
 	delete(kv, key)
 	return out, nil
-}
-
-func parseTime(raw string) (sim.Time, error) {
-	mult := sim.Second
-	num := raw
-	switch {
-	case strings.HasSuffix(raw, "us"):
-		mult, num = sim.Microsecond, strings.TrimSuffix(raw, "us")
-	case strings.HasSuffix(raw, "ms"):
-		mult, num = sim.Millisecond, strings.TrimSuffix(raw, "ms")
-	case strings.HasSuffix(raw, "s"):
-		num = strings.TrimSuffix(raw, "s")
-	}
-	v, err := strconv.ParseFloat(num, 64)
-	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
-		return 0, fmt.Errorf("%q is not a duration", raw)
-	}
-	return sim.Time(v) * mult, nil
 }

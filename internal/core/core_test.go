@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -285,7 +286,7 @@ func TestODDSAdaptsTargets(t *testing.T) {
 	})
 	rt.Connect(src, wf, policy.ODDS())
 	var targets []TargetRecord
-	rt.OnTarget = func(rec TargetRecord) { targets = append(targets, rec) }
+	rt.Hooks.Target = func(rec TargetRecord) { targets = append(targets, rec) }
 	if _, err := rt.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -302,13 +303,13 @@ func TestODDSAdaptsTargets(t *testing.T) {
 	}
 }
 
-func TestOnProcessRecords(t *testing.T) {
+func TestProcessHookRecords(t *testing.T) {
 	k := sim.NewKernel(1)
 	c := hw.NewCluster(k, []hw.NodeSpec{{CPUCores: 1}}, nil)
 	rt, _, _ := buildSimple(c, 7, fixedCost(sim.Millisecond),
 		FilterSpec{Placement: []int{0}, CPUWorkers: 1}, policy.DDFCFS(2))
 	var recs []ProcRecord
-	rt.OnProcess = func(r ProcRecord) { recs = append(recs, r) }
+	rt.Hooks.Process = func(r ProcRecord) { recs = append(recs, r) }
 	if _, err := rt.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -319,6 +320,22 @@ func TestOnProcessRecords(t *testing.T) {
 		if r.End < r.Start || r.Kind != hw.CPU || r.Filter != "worker" {
 			t.Fatalf("bad record %+v", r)
 		}
+	}
+}
+
+func TestTap(t *testing.T) {
+	var h func(int)
+	var got []string
+	first := func(int) { got = append(got, "first") }
+	Tap(&h, first)
+	if reflect.ValueOf(h).Pointer() != reflect.ValueOf(first).Pointer() {
+		t.Fatal("Tap on an empty hook must install fn as is")
+	}
+	Tap(&h, func(int) { got = append(got, "second") })
+	Tap(&h, func(int) { got = append(got, "third") })
+	h(0)
+	if want := []string{"third", "second", "first"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("taps fired %v, want %v", got, want)
 	}
 }
 

@@ -9,10 +9,10 @@ import (
 )
 
 // This file is the runtime's hook bus: a set of optional callbacks that the
-// runtime fires at well-defined points of a run. It generalizes the two
-// original ad-hoc hooks (OnProcess/OnTarget) into a uniform observability
-// surface that the metrics registry (internal/obs) and the trace-event
-// exporter (internal/trace) subscribe to.
+// runtime fires at well-defined points of a run, the one observability
+// surface that the metrics registry (internal/obs), the trace-event exporter
+// (internal/trace), span attribution (internal/span) and the serving sink
+// (internal/serve) subscribe to.
 //
 // Every hook is nil by default and every emission site is guarded by a nil
 // check, so a run with no subscribers pays nothing beyond the branch — the
@@ -23,8 +23,7 @@ import (
 // trace) produce byte-identical output across repeated runs.
 
 // Bus is the set of runtime hooks. Fields may be set any time before Run;
-// helpers that need to chain an existing subscriber should wrap the previous
-// value (see trace.Collector.Attach for the pattern).
+// a subscriber that must share a hook with others subscribes with Tap.
 type Bus struct {
 	// Process fires after every processed event (handler completed).
 	Process func(ProcRecord)
@@ -61,6 +60,21 @@ type Bus struct {
 	// host-to-device copy, one kernel execution, or one device-to-host
 	// copy (see xfer.Span).
 	Span func(SpanRecord)
+}
+
+// Tap subscribes fn to the hook *h, keeping any subscriber already there.
+// On an empty hook fn is installed as is; otherwise fn runs first, then the
+// hook that was installed before it, so taps fire newest first.
+func Tap[R any](h *func(R), fn func(R)) {
+	prev := *h
+	if prev == nil {
+		*h = fn
+		return
+	}
+	*h = func(r R) {
+		fn(r)
+		prev(r)
+	}
 }
 
 // QueueDepthRecord traces one change of a runtime queue's length.
@@ -245,37 +259,6 @@ func (rt *Runtime) noteAdmit(f *Filter, inst int, id uint64, at sim.Time, depth,
 		Limit:    limit,
 		Accepted: accepted,
 	})
-}
-
-// emitProcess fires the Process hook (and the legacy OnProcess field).
-func (rt *Runtime) emitProcess(r ProcRecord) {
-	if rt.OnProcess != nil {
-		rt.OnProcess(r)
-	}
-	if rt.Hooks.Process != nil {
-		rt.Hooks.Process(r)
-	}
-}
-
-// emitTarget fires the Target hook (and the legacy OnTarget field).
-func (rt *Runtime) emitTarget(r TargetRecord) {
-	if rt.OnTarget != nil {
-		rt.OnTarget(r)
-	}
-	if rt.Hooks.Target != nil {
-		rt.Hooks.Target(r)
-	}
-}
-
-// wantProcess reports whether any process subscriber is attached, so the
-// worker can skip assembling the record entirely.
-func (rt *Runtime) wantProcess() bool {
-	return rt.OnProcess != nil || rt.Hooks.Process != nil
-}
-
-// wantTarget reports whether any target subscriber is attached.
-func (rt *Runtime) wantTarget() bool {
-	return rt.OnTarget != nil || rt.Hooks.Target != nil
 }
 
 // noteInputDepth publishes the current depth of input queue qi.

@@ -811,8 +811,8 @@ func (w *worker) afterProcess(e *sim.Env, st *reqState, timeToProcess sim.Time) 
 	old := st.dqaa.Target()
 	nt := st.dqaa.Observe(st.lastLatency, timeToProcess)
 	if nt != old {
-		if w.inst.rt.wantTarget() {
-			w.inst.rt.emitTarget(TargetRecord{
+		if h := w.inst.rt.Hooks.Target; h != nil {
+			h(TargetRecord{
 				Filter:   w.inst.f.Name(),
 				Instance: w.inst.idx,
 				Worker:   w.name(),
@@ -850,8 +850,8 @@ func (w *worker) finish(ctx *Ctx, t *task.Task, start sim.Time) {
 		rt.track.adjust(now, int64(created))
 	}
 	rt.track.adjust(now, -1)
-	if rt.wantProcess() {
-		rt.emitProcess(ProcRecord{
+	if h := rt.Hooks.Process; h != nil {
+		h(ProcRecord{
 			TaskID:   t.ID,
 			Parent:   t.Parent,
 			Filter:   w.inst.f.Name(),

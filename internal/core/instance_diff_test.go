@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/hw"
+	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/simtest"
@@ -25,12 +26,16 @@ import (
 
 // runDiffPipeline executes the representative pipeline with the chosen
 // helper flavour and returns the run result plus the full hook trace.
-func runDiffPipeline(t *testing.T, blocking, serialRequester bool) (core.Result, *simtest.Recorder) {
+// attach, when not nil, subscribes to the bus before the recorder does.
+func runDiffPipeline(t *testing.T, blocking, serialRequester bool, attach func(*core.Runtime)) (core.Result, *simtest.Recorder) {
 	t.Helper()
 	k := sim.NewKernel(1)
 	c := simtest.TwoNodeCluster(k)
 	rt := core.New(c, nil)
 	rt.Tun = core.Tunables{BlockingHelpers: blocking, SerialRequester: serialRequester}
+	if attach != nil {
+		attach(rt)
+	}
 	rec := simtest.Record(rt)
 
 	src := rt.AddFilter(core.FilterSpec{
@@ -97,8 +102,8 @@ func runDiffPipeline(t *testing.T, blocking, serialRequester bool) (core.Result,
 // TestStepHelpersMatchBlockingHelpers is the core differential gate of the
 // migration: pipelined requesters (the default protocol).
 func TestStepHelpersMatchBlockingHelpers(t *testing.T) {
-	resBlock, traceBlock := runDiffPipeline(t, true, false)
-	resStep, traceStep := runDiffPipeline(t, false, false)
+	resBlock, traceBlock := runDiffPipeline(t, true, false, nil)
+	resStep, traceStep := runDiffPipeline(t, false, false, nil)
 	compareDiffRuns(t, resBlock, traceBlock, resStep, traceStep)
 }
 
@@ -106,9 +111,21 @@ func TestStepHelpersMatchBlockingHelpers(t *testing.T) {
 // under the SerialRequester ablation, where the fetch chains on the
 // requester process itself instead of a spawned helper.
 func TestStepHelpersMatchBlockingSerialRequester(t *testing.T) {
-	resBlock, traceBlock := runDiffPipeline(t, true, true)
-	resStep, traceStep := runDiffPipeline(t, false, true)
+	resBlock, traceBlock := runDiffPipeline(t, true, true, nil)
+	resStep, traceStep := runDiffPipeline(t, false, true, nil)
 	compareDiffRuns(t, resBlock, traceBlock, resStep, traceStep)
+}
+
+// TestRecordBehindRegistry attaches the recorder after a metrics registry:
+// both must see the run, and the recorder the same lines as when alone.
+func TestRecordBehindRegistry(t *testing.T) {
+	_, alone := runDiffPipeline(t, false, false, nil)
+	reg := obs.NewRegistry()
+	_, shared := runDiffPipeline(t, false, false, reg.Attach)
+	simtest.DiffTraces(t, "alone", alone.Lines(), "behind registry", shared.Lines())
+	if got, want := reg.Counter("faults{kind=crash,phase=crash}").N, int64(shared.Count("fault")); got != want || got == 0 {
+		t.Fatalf("registry counted %d crash faults, recorder %d", got, want)
+	}
 }
 
 // runLabeledDiffPipeline executes a labeled-stream pipeline under a rival

@@ -151,13 +151,9 @@ func labHooks(pol policy.StreamPolicy) func(rt *core.Runtime) {
 		return nil
 	}
 	return func(rt *core.Runtime) {
-		prev := rt.Hooks.Process
-		rt.Hooks.Process = func(r core.ProcRecord) {
+		core.Tap(&rt.Hooks.Process, func(r core.ProcRecord) {
 			a.SetHome(r.TaskID, r.NodeID)
-			if prev != nil {
-				prev(r)
-			}
-		}
+		})
 	}
 }
 

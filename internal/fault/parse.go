@@ -2,12 +2,9 @@ package fault
 
 import (
 	"fmt"
-	"math"
-	"sort"
-	"strconv"
 	"strings"
 
-	"repro/internal/sim"
+	"repro/internal/spec"
 )
 
 // Parse decodes a -faults spec into a Schedule. The syntax is a
@@ -24,20 +21,12 @@ import (
 // Whitespace around events is ignored; empty events are skipped. Malformed
 // input returns an error, never panics. Workload-dependent checks (node
 // ranges, filter names) happen later, in Apply.
-func Parse(spec string) (*Schedule, error) {
-	s := &Schedule{}
-	for _, raw := range strings.Split(spec, ";") {
-		part := strings.TrimSpace(raw)
-		if part == "" {
-			continue
-		}
-		ev, err := parseEvent(part)
-		if err != nil {
-			return nil, fmt.Errorf("fault: event %q: %w", part, err)
-		}
-		s.Events = append(s.Events, ev)
+func Parse(s string) (*Schedule, error) {
+	evs, err := spec.Items(s, "fault: event", parseEvent)
+	if err != nil {
+		return nil, err
 	}
-	return s, nil
+	return &Schedule{Events: evs}, nil
 }
 
 func parseEvent(part string) (Event, error) {
@@ -58,26 +47,26 @@ func parseEvent(part string) (Event, error) {
 	default:
 		return Event{}, fmt.Errorf("unknown fault kind %q", strings.TrimSpace(head))
 	}
-	kv, err := parseKV(rest)
+	kv, err := spec.ParseKV(rest)
 	if err != nil {
 		return Event{}, err
 	}
 	ev := Event{Kind: kind, Dev: DevAll, Factor: 1}
 	switch kind {
 	case Slow:
-		if err := kv.require("node", "at", "for", "x"); err != nil {
+		if err := kv.Require("node", "at", "for", "x"); err != nil {
 			return Event{}, err
 		}
-		if ev.Node, err = kv.intVal("node"); err != nil {
+		if ev.Node, err = kv.Int("node"); err != nil {
 			return Event{}, err
 		}
-		if ev.At, err = kv.timeVal("at"); err != nil {
+		if ev.At, err = kv.Time("at"); err != nil {
 			return Event{}, err
 		}
-		if ev.Dur, err = kv.timeVal("for"); err != nil {
+		if ev.Dur, err = kv.Time("for"); err != nil {
 			return Event{}, err
 		}
-		if ev.Factor, err = kv.floatVal("x"); err != nil {
+		if ev.Factor, err = kv.Float("x"); err != nil {
 			return Event{}, err
 		}
 		if dev, ok := kv["dev"]; ok {
@@ -92,27 +81,27 @@ func parseEvent(part string) (Event, error) {
 			delete(kv, "dev")
 		}
 	case Net, PCIe:
-		if err := kv.require("node", "at", "for"); err != nil {
+		if err := kv.Require("node", "at", "for"); err != nil {
 			return Event{}, err
 		}
-		if ev.Node, err = kv.intVal("node"); err != nil {
+		if ev.Node, err = kv.Int("node"); err != nil {
 			return Event{}, err
 		}
-		if ev.At, err = kv.timeVal("at"); err != nil {
+		if ev.At, err = kv.Time("at"); err != nil {
 			return Event{}, err
 		}
-		if ev.Dur, err = kv.timeVal("for"); err != nil {
+		if ev.Dur, err = kv.Time("for"); err != nil {
 			return Event{}, err
 		}
 		gotEffect := false
 		if _, ok := kv["bw"]; ok {
-			if ev.Factor, err = kv.floatVal("bw"); err != nil {
+			if ev.Factor, err = kv.Float("bw"); err != nil {
 				return Event{}, err
 			}
 			gotEffect = true
 		}
 		if _, ok := kv["lat"]; ok {
-			if ev.Latency, err = kv.timeVal("lat"); err != nil {
+			if ev.Latency, err = kv.Time("lat"); err != nil {
 				return Event{}, err
 			}
 			gotEffect = true
@@ -121,7 +110,7 @@ func parseEvent(part string) (Event, error) {
 			return Event{}, fmt.Errorf("need at least one of bw=, lat=")
 		}
 	case Crash:
-		if err := kv.require("filter", "inst", "at"); err != nil {
+		if err := kv.Require("filter", "inst", "at"); err != nil {
 			return Event{}, err
 		}
 		ev.Filter = kv["filter"]
@@ -132,23 +121,15 @@ func parseEvent(part string) (Event, error) {
 		if strings.ContainsAny(ev.Filter, ",;:= \t") {
 			return Event{}, fmt.Errorf("filter name %q contains reserved characters", ev.Filter)
 		}
-		if ev.Instance, err = kv.intVal("inst"); err != nil {
+		if ev.Instance, err = kv.Int("inst"); err != nil {
 			return Event{}, err
 		}
-		if ev.At, err = kv.timeVal("at"); err != nil {
+		if ev.At, err = kv.Time("at"); err != nil {
 			return Event{}, err
 		}
 	}
-	if len(kv) > 0 {
-		// Report the smallest leftover key: map iteration order would make
-		// the error message (and anything derived from it) nondeterministic
-		// when several unknown keys are present.
-		keys := make([]string, 0, len(kv))
-		for k := range kv {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		return Event{}, fmt.Errorf("unknown key %q for %s fault", keys[0], kind)
+	if k, ok := kv.Unknown(); ok {
+		return Event{}, fmt.Errorf("unknown key %q for %s fault", k, kind)
 	}
 	if ev.Node < 0 {
 		return Event{}, fmt.Errorf("node must be >= 0")
@@ -169,76 +150,4 @@ func parseEvent(part string) (Event, error) {
 		return Event{}, fmt.Errorf("lat must be >= 0")
 	}
 	return ev, nil
-}
-
-// kvMap holds an event's key=value pairs; accessors consume entries so that
-// leftovers can be flagged as unknown keys.
-type kvMap map[string]string
-
-func parseKV(s string) (kvMap, error) {
-	kv := make(kvMap)
-	for _, item := range strings.Split(s, ",") {
-		item = strings.TrimSpace(item)
-		if item == "" {
-			return nil, fmt.Errorf("empty key=value entry")
-		}
-		k, v, ok := strings.Cut(item, "=")
-		if !ok {
-			return nil, fmt.Errorf("entry %q is not key=value", item)
-		}
-		k, v = strings.TrimSpace(k), strings.TrimSpace(v)
-		if _, dup := kv[k]; dup {
-			return nil, fmt.Errorf("duplicate key %q", k)
-		}
-		kv[k] = v
-	}
-	return kv, nil
-}
-
-func (kv kvMap) require(keys ...string) error {
-	for _, k := range keys {
-		if _, ok := kv[k]; !ok {
-			return fmt.Errorf("missing required key %q", k)
-		}
-	}
-	return nil
-}
-
-func (kv kvMap) intVal(key string) (int, error) {
-	v, err := strconv.Atoi(kv[key])
-	if err != nil {
-		return 0, fmt.Errorf("%s: %q is not an integer", key, kv[key])
-	}
-	delete(kv, key)
-	return v, nil
-}
-
-func (kv kvMap) floatVal(key string) (float64, error) {
-	v, err := strconv.ParseFloat(kv[key], 64)
-	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
-		return 0, fmt.Errorf("%s: %q is not a finite number", key, kv[key])
-	}
-	delete(kv, key)
-	return v, nil
-}
-
-// timeVal parses a duration in seconds with an optional s/ms/us suffix.
-func (kv kvMap) timeVal(key string) (sim.Time, error) {
-	raw := kv[key]
-	mult := sim.Second
-	num := raw
-	switch {
-	case strings.HasSuffix(raw, "us"):
-		mult, num = sim.Microsecond, strings.TrimSuffix(raw, "us")
-	case strings.HasSuffix(raw, "ms"):
-		mult, num = sim.Millisecond, strings.TrimSuffix(raw, "ms")
-	case strings.HasSuffix(raw, "s"):
-		num = strings.TrimSuffix(raw, "s")
-	}
-	v, err := strconv.ParseFloat(num, 64)
-	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
-		return 0, fmt.Errorf("%s: %q is not a duration", key, raw)
-	}
-	delete(kv, key)
-	return sim.Time(v) * mult, nil
 }

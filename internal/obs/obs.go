@@ -225,61 +225,44 @@ func (r *Registry) Hist(key string) *Hist {
 	return h
 }
 
-// Attach subscribes the registry to every hook of the runtime's bus,
-// chaining any subscriber already installed so multiple consumers (e.g. a
-// trace collector and a registry) can share one run. Call before rt.Run.
+// Attach taps the registry onto every hook of the runtime's bus (core.Tap),
+// so multiple consumers (e.g. a trace log and a registry) can share one run.
+// Call before rt.Run.
 //
 // Each hook takes the registry mutex around its mutations (and releases it
-// before chaining to the previous subscriber), so Snapshot can read from
-// another goroutine mid-run.
+// before the previously installed subscriber runs), so Snapshot can read
+// from another goroutine mid-run.
 func (r *Registry) Attach(rt *core.Runtime) {
-	prevProc := rt.Hooks.Process
-	rt.Hooks.Process = func(rec core.ProcRecord) {
+	core.Tap(&rt.Hooks.Process, func(rec core.ProcRecord) {
 		dur := float64(rec.End - rec.Start)
 		k := fmt.Sprintf("filter=%s,inst=%d,dev=%s", rec.Filter, rec.Instance, rec.Kind)
 		r.mu.Lock()
 		r.Counter("events_processed{" + k + "}").Add(1)
 		r.Counter("service_time_s{" + k + "}").Add(dur)
 		r.mu.Unlock()
-		if prevProc != nil {
-			prevProc(rec)
-		}
-	}
-	prevTarget := rt.Hooks.Target
-	rt.Hooks.Target = func(rec core.TargetRecord) {
+	})
+	core.Tap(&rt.Hooks.Target, func(rec core.TargetRecord) {
 		k := fmt.Sprintf("dqaa_target{filter=%s,inst=%d,worker=%s}", rec.Filter, rec.Instance, rec.Worker)
 		r.mu.Lock()
 		r.Gauge(k).Set(rec.At, float64(rec.Target))
 		r.Hist(k).Observe(rec.At, rec.Target)
 		r.mu.Unlock()
-		if prevTarget != nil {
-			prevTarget(rec)
-		}
-	}
-	prevDepth := rt.Hooks.QueueDepth
-	rt.Hooks.QueueDepth = func(rec core.QueueDepthRecord) {
+	})
+	core.Tap(&rt.Hooks.QueueDepth, func(rec core.QueueDepthRecord) {
 		k := fmt.Sprintf("queue_depth{filter=%s,inst=%d,queue=%s}", rec.Filter, rec.Instance, rec.Queue)
 		r.mu.Lock()
 		r.Gauge(k).Set(rec.At, float64(rec.Depth))
 		r.Hist(k).Observe(rec.At, rec.Depth)
 		r.mu.Unlock()
-		if prevDepth != nil {
-			prevDepth(rec)
-		}
-	}
-	prevDemand := rt.Hooks.Demand
-	rt.Hooks.Demand = func(rec core.DemandRecord) {
+	})
+	core.Tap(&rt.Hooks.Demand, func(rec core.DemandRecord) {
 		k := fmt.Sprintf("demand{filter=%s,inst=%d,input=%d,event=%s}",
 			rec.Filter, rec.Instance, rec.Input, rec.Event)
 		r.mu.Lock()
 		r.Counter(k).Add(1)
 		r.mu.Unlock()
-		if prevDemand != nil {
-			prevDemand(rec)
-		}
-	}
-	prevSend := rt.Hooks.Send
-	rt.Hooks.Send = func(rec core.SendRecord) {
+	})
+	core.Tap(&rt.Hooks.Send, func(rec core.SendRecord) {
 		mode := "demand"
 		if rec.Push {
 			mode = "push"
@@ -289,22 +272,14 @@ func (r *Registry) Attach(rt *core.Runtime) {
 		r.Counter("stream_sends{" + k + "}").Add(1)
 		r.Counter("stream_bytes{" + k + "}").Add(float64(rec.Bytes))
 		r.mu.Unlock()
-		if prevSend != nil {
-			prevSend(rec)
-		}
-	}
-	prevEmit := rt.Hooks.Emit
-	rt.Hooks.Emit = func(rec core.EmitRecord) {
+	})
+	core.Tap(&rt.Hooks.Emit, func(rec core.EmitRecord) {
 		k := fmt.Sprintf("stream=%s,inst=%d", rec.Stream, rec.Instance)
 		r.mu.Lock()
 		r.Counter("stream_emits{" + k + "}").Add(1)
 		r.mu.Unlock()
-		if prevEmit != nil {
-			prevEmit(rec)
-		}
-	}
-	prevDeliver := rt.Hooks.Deliver
-	rt.Hooks.Deliver = func(rec core.DeliverRecord) {
+	})
+	core.Tap(&rt.Hooks.Deliver, func(rec core.DeliverRecord) {
 		mode := "demand"
 		if rec.Push {
 			mode = "push"
@@ -313,22 +288,14 @@ func (r *Registry) Attach(rt *core.Runtime) {
 		r.mu.Lock()
 		r.Counter("stream_delivers{" + k + "}").Add(1)
 		r.mu.Unlock()
-		if prevDeliver != nil {
-			prevDeliver(rec)
-		}
-	}
-	prevFault := rt.Hooks.Fault
-	rt.Hooks.Fault = func(rec core.FaultRecord) {
+	})
+	core.Tap(&rt.Hooks.Fault, func(rec core.FaultRecord) {
 		k := fmt.Sprintf("faults{kind=%s,phase=%s}", rec.Kind, rec.Phase)
 		r.mu.Lock()
 		r.Counter(k).Add(1)
 		r.mu.Unlock()
-		if prevFault != nil {
-			prevFault(rec)
-		}
-	}
-	prevSpan := rt.Hooks.Span
-	rt.Hooks.Span = func(rec core.SpanRecord) {
+	})
+	core.Tap(&rt.Hooks.Span, func(rec core.SpanRecord) {
 		k := fmt.Sprintf("filter=%s,inst=%d,node=%d,kind=%s", rec.Filter, rec.Instance, rec.NodeID, rec.Kind)
 		r.mu.Lock()
 		r.Counter("xfer_spans{" + k + "}").Add(1)
@@ -337,10 +304,7 @@ func (r *Registry) Attach(rt *core.Runtime) {
 			r.Counter("xfer_bytes{" + k + "}").Add(float64(rec.Bytes))
 		}
 		r.mu.Unlock()
-		if prevSpan != nil {
-			prevSpan(rec)
-		}
-	}
+	})
 }
 
 // Finish closes every time-weighted aggregate at the run horizon

@@ -139,48 +139,32 @@ func NewSink(suffix string, slo sim.Time, n int) *Sink {
 	}
 }
 
-// Attach chains the sink onto rt's hook bus in front of the subscribers
-// already there, keeping the records of its own pipeline's filters.
+// Attach taps the sink onto rt's hook bus (core.Tap), keeping the records
+// of its own pipeline's filters.
 func (s *Sink) Attach(rt *core.Runtime) {
-	prevAdmit := rt.Hooks.Admit
-	rt.Hooks.Admit = func(r core.AdmitRecord) {
+	core.Tap(&rt.Hooks.Admit, func(r core.AdmitRecord) {
 		if r.Filter == s.gateway {
 			s.admit(r)
 		}
-		if prevAdmit != nil {
-			prevAdmit(r)
-		}
-	}
-	prevDepth := rt.Hooks.QueueDepth
-	rt.Hooks.QueueDepth = func(r core.QueueDepthRecord) {
+	})
+	core.Tap(&rt.Hooks.QueueDepth, func(r core.QueueDepthRecord) {
 		if r.Filter == s.gateway && r.Queue == "send" {
 			s.Depth = r.Depth
 			if r.Depth > s.MaxDepth {
 				s.MaxDepth = r.Depth
 			}
 		}
-		if prevDepth != nil {
-			prevDepth(r)
-		}
-	}
-	prevDeliver := rt.Hooks.Deliver
-	rt.Hooks.Deliver = func(r core.DeliverRecord) {
+	})
+	core.Tap(&rt.Hooks.Deliver, func(r core.DeliverRecord) {
 		if r.Filter == s.serve {
 			s.deliverAt[r.TaskID] = r.At
 		}
-		if prevDeliver != nil {
-			prevDeliver(r)
-		}
-	}
-	prevProc := rt.Hooks.Process
-	rt.Hooks.Process = func(r core.ProcRecord) {
+	})
+	core.Tap(&rt.Hooks.Process, func(r core.ProcRecord) {
 		if r.Filter == s.serve {
 			s.process(r)
 		}
-		if prevProc != nil {
-			prevProc(r)
-		}
-	}
+	})
 }
 
 func (s *Sink) admit(r core.AdmitRecord) {

@@ -31,25 +31,24 @@ type Recorder struct {
 	lines []string
 }
 
-// Record subscribes a fresh Recorder to every hook of rt. It overwrites
-// rt.Hooks; call it before Run and before any other hook attachment.
+// Record taps a fresh Recorder onto every hook of rt (core.Tap), keeping
+// any subscriber already attached. Call it before Run.
 func Record(rt *core.Runtime) *Recorder {
 	r := &Recorder{}
 	add := func(kind string, rec any) {
 		r.lines = append(r.lines, fmt.Sprintf("%s %+v", kind, rec))
 	}
-	rt.Hooks = core.Bus{
-		Process:    func(rec core.ProcRecord) { add("process", rec) },
-		Target:     func(rec core.TargetRecord) { add("target", rec) },
-		QueueDepth: func(rec core.QueueDepthRecord) { add("depth", rec) },
-		Demand:     func(rec core.DemandRecord) { add("demand", rec) },
-		Send:       func(rec core.SendRecord) { add("send", rec) },
-		Emit:       func(rec core.EmitRecord) { add("emit", rec) },
-		Deliver:    func(rec core.DeliverRecord) { add("deliver", rec) },
-		Fault:      func(rec core.FaultRecord) { add("fault", rec) },
-		Admit:      func(rec core.AdmitRecord) { add("admit", rec) },
-		Span:       func(rec core.SpanRecord) { add("span", rec) },
-	}
+	h := &rt.Hooks
+	core.Tap(&h.Process, func(rec core.ProcRecord) { add("process", rec) })
+	core.Tap(&h.Target, func(rec core.TargetRecord) { add("target", rec) })
+	core.Tap(&h.QueueDepth, func(rec core.QueueDepthRecord) { add("depth", rec) })
+	core.Tap(&h.Demand, func(rec core.DemandRecord) { add("demand", rec) })
+	core.Tap(&h.Send, func(rec core.SendRecord) { add("send", rec) })
+	core.Tap(&h.Emit, func(rec core.EmitRecord) { add("emit", rec) })
+	core.Tap(&h.Deliver, func(rec core.DeliverRecord) { add("deliver", rec) })
+	core.Tap(&h.Fault, func(rec core.FaultRecord) { add("fault", rec) })
+	core.Tap(&h.Admit, func(rec core.AdmitRecord) { add("admit", rec) })
+	core.Tap(&h.Span, func(rec core.SpanRecord) { add("span", rec) })
 	return r
 }
 

@@ -157,11 +157,10 @@ func (c *Collector) buf(id uint64) *Buffer {
 // Buffers returns the number of tracked buffers.
 func (c *Collector) Buffers() int { return len(c.bufs) }
 
-// Attach subscribes the collector to the runtime's bus, chaining any
-// subscriber already installed. Call before rt.Run.
+// Attach taps the collector onto the runtime's bus (core.Tap). Call before
+// rt.Run.
 func (c *Collector) Attach(rt *core.Runtime) {
-	prevEmit := rt.Hooks.Emit
-	rt.Hooks.Emit = func(r core.EmitRecord) {
+	core.Tap(&rt.Hooks.Emit, func(r core.EmitRecord) {
 		b := c.buf(r.TaskID)
 		if !b.HaveEmit {
 			b.HaveEmit = true
@@ -172,33 +171,21 @@ func (c *Collector) Attach(rt *core.Runtime) {
 			b.ProducerInst = r.Instance
 			b.Bytes = r.Bytes
 		}
-		if prevEmit != nil {
-			prevEmit(r)
-		}
-	}
-	prevSend := rt.Hooks.Send
-	rt.Hooks.Send = func(r core.SendRecord) {
+	})
+	core.Tap(&rt.Hooks.Send, func(r core.SendRecord) {
 		b := c.buf(r.TaskID)
 		b.Sent = r.At
 		b.HaveSent = true
-		if prevSend != nil {
-			prevSend(r)
-		}
-	}
-	prevDeliver := rt.Hooks.Deliver
-	rt.Hooks.Deliver = func(r core.DeliverRecord) {
+	})
+	core.Tap(&rt.Hooks.Deliver, func(r core.DeliverRecord) {
 		b := c.buf(r.TaskID)
 		b.Deliver = r.At
 		b.HaveDeliver = true
 		b.Consumer = r.Filter
 		b.ConsumerInst = r.Instance
 		b.Push = r.Push
-		if prevDeliver != nil {
-			prevDeliver(r)
-		}
-	}
-	prevProc := rt.Hooks.Process
-	rt.Hooks.Process = func(r core.ProcRecord) {
+	})
+	core.Tap(&rt.Hooks.Process, func(r core.ProcRecord) {
 		b := c.buf(r.TaskID)
 		b.Processed = true
 		b.Start = r.Start
@@ -210,27 +197,16 @@ func (c *Collector) Attach(rt *core.Runtime) {
 		}
 		b.Consumer = r.Filter
 		b.ConsumerInst = r.Instance
-		if prevProc != nil {
-			prevProc(r)
-		}
-	}
-	prevAdmit := rt.Hooks.Admit
-	rt.Hooks.Admit = func(r core.AdmitRecord) {
+	})
+	core.Tap(&rt.Hooks.Admit, func(r core.AdmitRecord) {
 		if r.Accepted {
 			// Rejected arrivals carry TaskID 0 and never enter the system;
 			// accepted ones become per-request lineage roots.
 			c.inject[r.TaskID] = r.At
 		}
-		if prevAdmit != nil {
-			prevAdmit(r)
-		}
-	}
-	prevSpan := rt.Hooks.Span
-	rt.Hooks.Span = func(r core.SpanRecord) {
+	})
+	core.Tap(&rt.Hooks.Span, func(r core.SpanRecord) {
 		b := c.buf(r.TaskID)
 		b.X = append(b.X, XSpan{Kind: r.Kind, Start: r.Start, End: r.End})
-		if prevSpan != nil {
-			prevSpan(r)
-		}
-	}
+	})
 }

@@ -47,44 +47,24 @@ type ChromeLog struct {
 // usable; the constructor exists for symmetry with obs.NewRegistry.
 func NewChromeLog() *ChromeLog { return &ChromeLog{} }
 
-// Attach subscribes the log to a runtime's hook bus, chaining subscribers
-// already installed. Call before rt.Run.
+// Attach taps the log onto a runtime's hook bus (core.Tap). Call before
+// rt.Run.
 func (l *ChromeLog) Attach(rt *core.Runtime) {
-	prevProc := rt.Hooks.Process
-	rt.Hooks.Process = func(r core.ProcRecord) {
+	core.Tap(&rt.Hooks.Process, func(r core.ProcRecord) {
 		l.procs = append(l.procs, r)
-		if prevProc != nil {
-			prevProc(r)
-		}
-	}
-	prevSpan := rt.Hooks.Span
-	rt.Hooks.Span = func(r core.SpanRecord) {
+	})
+	core.Tap(&rt.Hooks.Span, func(r core.SpanRecord) {
 		l.spans = append(l.spans, r)
-		if prevSpan != nil {
-			prevSpan(r)
-		}
-	}
-	prevTarget := rt.Hooks.Target
-	rt.Hooks.Target = func(r core.TargetRecord) {
+	})
+	core.Tap(&rt.Hooks.Target, func(r core.TargetRecord) {
 		l.targets = append(l.targets, r)
-		if prevTarget != nil {
-			prevTarget(r)
-		}
-	}
-	prevDepth := rt.Hooks.QueueDepth
-	rt.Hooks.QueueDepth = func(r core.QueueDepthRecord) {
+	})
+	core.Tap(&rt.Hooks.QueueDepth, func(r core.QueueDepthRecord) {
 		l.depths = append(l.depths, r)
-		if prevDepth != nil {
-			prevDepth(r)
-		}
-	}
-	prevFault := rt.Hooks.Fault
-	rt.Hooks.Fault = func(r core.FaultRecord) {
+	})
+	core.Tap(&rt.Hooks.Fault, func(r core.FaultRecord) {
 		l.faults = append(l.faults, r)
-		if prevFault != nil {
-			prevFault(r)
-		}
-	}
+	})
 }
 
 // AddCluster registers every device of the cluster so its busy intervals

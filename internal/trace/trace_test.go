@@ -3,7 +3,6 @@ package trace
 import (
 	"bytes"
 	"encoding/csv"
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -14,14 +13,14 @@ import (
 	"repro/internal/task"
 )
 
-// runTraced executes a small pipeline with a collector attached.
-func runTraced(t *testing.T) (*Collector, *hw.Cluster, sim.Time) {
+// runTraced executes a small pipeline and returns its processing records.
+func runTraced(t *testing.T) ([]core.ProcRecord, *hw.Cluster, sim.Time) {
 	t.Helper()
 	k := sim.NewKernel(1)
 	c := hw.NewCluster(k, []hw.NodeSpec{{CPUCores: 2}}, nil)
 	rt := core.New(c, nil)
-	col := &Collector{}
-	col.Attach(rt)
+	var procs []core.ProcRecord
+	rt.Hooks.Process = func(r core.ProcRecord) { procs = append(procs, r) }
 	src := rt.AddFilter(core.FilterSpec{
 		Name: "source", Placement: []int{0},
 		SourceCount: func(int) int { return 20 },
@@ -38,48 +37,13 @@ func runTraced(t *testing.T) (*Collector, *hw.Cluster, sim.Time) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return col, c, res.Makespan
-}
-
-func TestCollectorGathersAllEvents(t *testing.T) {
-	col, _, _ := runTraced(t)
-	if len(col.Procs) != 20 {
-		t.Fatalf("procs = %d, want 20", len(col.Procs))
-	}
-}
-
-func TestCollectorChainsExistingHooks(t *testing.T) {
-	k := sim.NewKernel(1)
-	c := hw.NewCluster(k, []hw.NodeSpec{{CPUCores: 1}}, nil)
-	rt := core.New(c, nil)
-	direct := 0
-	rt.OnProcess = func(core.ProcRecord) { direct++ }
-	col := &Collector{}
-	col.Attach(rt)
-	src := rt.AddFilter(core.FilterSpec{
-		Name: "source", Placement: []int{0},
-		SourceCount: func(int) int { return 5 },
-		SourceMake: func(_, i int) *task.Task {
-			return &task.Task{Size: 10, Cost: func(hw.Kind) sim.Time { return sim.Millisecond }}
-		},
-	})
-	wf := rt.AddFilter(core.FilterSpec{
-		Name: "w", Placement: []int{0}, CPUWorkers: 1,
-		Handler: func(ctx *core.Ctx, tk *task.Task) core.Action { return core.Action{} },
-	})
-	rt.Connect(src, wf, policy.DDFCFS(2))
-	if _, err := rt.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if direct != 5 || len(col.Procs) != 5 {
-		t.Fatalf("chained hooks: direct=%d collected=%d", direct, len(col.Procs))
-	}
+	return procs, c, res.Makespan
 }
 
 func TestWriteProcsCSV(t *testing.T) {
-	col, _, _ := runTraced(t)
+	procs, _, _ := runTraced(t)
 	var buf bytes.Buffer
-	if err := col.WriteProcsCSV(&buf); err != nil {
+	if err := WriteProcsCSV(&buf, procs); err != nil {
 		t.Fatal(err)
 	}
 	rows, err := csv.NewReader(&buf).ReadAll()
@@ -91,24 +55,6 @@ func TestWriteProcsCSV(t *testing.T) {
 	}
 	if rows[0][0] != "task_id" || rows[1][3] != "CPU" {
 		t.Fatalf("unexpected CSV content: %v", rows[:2])
-	}
-}
-
-func TestWriteProcsJSON(t *testing.T) {
-	col, _, _ := runTraced(t)
-	var buf bytes.Buffer
-	if err := col.WriteProcsJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var out []map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 20 {
-		t.Fatalf("json rows = %d", len(out))
-	}
-	if out[0]["device"] != "CPU" {
-		t.Fatalf("device = %v", out[0]["device"])
 	}
 }
 
@@ -136,15 +82,6 @@ func TestGanttDegenerate(t *testing.T) {
 	}
 }
 
-func TestSummary(t *testing.T) {
-	col, _, _ := runTraced(t)
-	out := col.Summary()
-	if !strings.Contains(out, "worker") || !strings.Contains(out, "CPU") ||
-		!strings.Contains(out, "20") {
-		t.Fatalf("summary missing fields:\n%s", out)
-	}
-}
-
 func TestGanttPartialCells(t *testing.T) {
 	k := sim.NewKernel(1)
 	d := hw.NewDevice(k, hw.CPU, 0)
@@ -158,33 +95,5 @@ func TestGanttPartialCells(t *testing.T) {
 	out := Gantt([]*hw.Device{d}, 2, 2) // cells of 1s: busy 0.1s and 0.1s
 	if !strings.Contains(out, "+") {
 		t.Fatalf("expected partial-busy '+' cells:\n%s", out)
-	}
-}
-
-func TestCollectorTargets(t *testing.T) {
-	k := sim.NewKernel(1)
-	c := hw.NewCluster(k, []hw.NodeSpec{{CPUCores: 1}, {CPUCores: 1}}, nil)
-	rt := core.New(c, nil)
-	col := &Collector{}
-	col.Attach(rt)
-	src := rt.AddFilter(core.FilterSpec{
-		Name: "source", Placement: []int{0},
-		SourceCount: func(int) int { return 200 },
-		SourceMake: func(_, i int) *task.Task {
-			return &task.Task{Size: 300000, Cost: func(hw.Kind) sim.Time { return 100 * sim.Microsecond }}
-		},
-	})
-	wf := rt.AddFilter(core.FilterSpec{
-		Name: "worker", Placement: []int{1}, CPUWorkers: 1,
-		Handler: func(ctx *core.Ctx, tk *task.Task) core.Action { return core.Action{} },
-	})
-	rt.Connect(src, wf, policy.ODDS())
-	if _, err := rt.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// Remote 300 KB transfers vs 0.1 ms processing: DQAA must adjust the
-	// target at least once, and the collector must capture it.
-	if len(col.Targets) == 0 {
-		t.Fatal("no DQAA target changes collected")
 	}
 }

@@ -13,6 +13,9 @@ cd "$(dirname "$0")/.."
 echo "== go vet ./..."
 go vet ./...
 
+echo "== go vet ./... in perfbench/  (the benchmark is its own module; the root ./... never compiles it)"
+(cd perfbench && go vet ./...)
+
 echo "== gofmt -l  (every Go file must be gofmt-formatted)"
 unformatted=$(find . -path './.*' -prune -o -name '*.go' -print | xargs gofmt -l)
 if [ -n "$unformatted" ]; then
