@@ -5,13 +5,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/sim"
+	"repro/internal/simtest"
 )
 
 // uniformTimes builds n arrival instants spaced gap apart, starting at 0.
@@ -137,24 +137,7 @@ func TestMetricsByteDeterministic(t *testing.T) {
 // ANTHILL_REGEN_GOLDEN=1 go test ./internal/serve -run TestMetricsByteDeterministic.
 func checkGolden(t *testing.T, name string, got []byte) {
 	t.Helper()
-	path := filepath.Join("testdata", name)
-	if os.Getenv("ANTHILL_REGEN_GOLDEN") == "1" {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("regenerated %s (%d bytes)", path, len(got))
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read golden: %v (regenerate with ANTHILL_REGEN_GOLDEN=1)", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("%s drifted from its golden:\n--- got ---\n%s\n--- want ---\n%s", name, got, want)
-	}
+	simtest.Golden(t, filepath.Join("testdata", name), got)
 }
 
 // TestOverloadViolationsAndLineage drives one pipeline into overload and
