@@ -231,16 +231,6 @@ type Tunables struct {
 	// DQAAFloor overrides the minimum dynamic request target (default 2;
 	// 1 restores Algorithm 2's initialization, DESIGN.md note 4).
 	DQAAFloor int
-	// BlockingHelpers restores the pre-migration blocking-coroutine flavour
-	// of the per-message runtime processes (sender serve loop, reply
-	// transmission, fetch, resubmission, requester issue loop, and the
-	// async transfer pipeline's h2d/d2h copies). The default (false) runs
-	// them as stackless step chains on the kernel's continuation API; both
-	// flavours share the same FIFO wait queues, so for a fixed seed the
-	// execution is identical event for event. The flag is the reference
-	// implementation for the step-path differential tests — it is not a
-	// performance knob worth enabling.
-	BlockingHelpers bool
 }
 
 // withDefaults materializes the zero-value defaults.

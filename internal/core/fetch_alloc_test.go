@@ -79,3 +79,68 @@ func TestFetchRoundAllocs(t *testing.T) {
 		t.Errorf("%.3f allocs per demand round, want <= 0.25", perRound)
 	}
 }
+
+// resubmitPipeline runs a lazy source feeding a CPU stage that resubmits
+// every buffer born at the source once, and returns the number of
+// resubmissions. All 2n buffers and every Resubmit slice come from two
+// up-front allocations, so the pipeline's marginal allocations are the
+// runtime's own.
+func resubmitPipeline(n int) int {
+	bufs := make([]task.Task, 2*n)
+	ptrs := make([]*task.Task, 2*n)
+	for i := range bufs {
+		bufs[i] = task.Task{Size: 4 << 10, OutSize: 64,
+			Cost: func(hw.Kind) sim.Time { return 10 * sim.Microsecond }}
+		ptrs[i] = &bufs[i]
+	}
+	k := sim.NewKernel(1)
+	rt := core.New(hw.NewCluster(k, []hw.NodeSpec{hw.CPUOnlyNode(), hw.CPUOnlyNode()}, nil), nil)
+	src := rt.AddFilter(core.FilterSpec{
+		Name: "src", Placement: []int{0},
+		SourceCount: func(int) int { return n },
+		SourceMake:  func(_, i int) *task.Task { return ptrs[i] },
+	})
+	resubs := 0
+	dst := rt.AddFilter(core.FilterSpec{
+		Name: "work", Placement: []int{1}, CPUWorkers: -1,
+		Handler: func(_ *core.Ctx, tk *task.Task) core.Action {
+			if tk.Parent != 0 {
+				return core.Action{}
+			}
+			r := ptrs[n+resubs : n+resubs+1]
+			resubs++
+			return core.Action{Resubmit: r}
+		},
+	})
+	rt.Connect(src, dst, policy.DDFCFS(4))
+	if _, err := rt.Run(); err != nil {
+		panic(err)
+	}
+	return resubs
+}
+
+// TestResubmitAllocs pins resubmission: each one runs on a pooled record
+// whose steps — the control message to the root source, then the push into
+// its send queue — are bound once, so one more resubmission, including the
+// demand round and processing of the resubmitted buffer, allocates nothing
+// beyond amortized queue and map growth. The ceiling of a quarter
+// allocation per resubmission fails on a closure per resubmission.
+func TestResubmitAllocs(t *testing.T) {
+	if simtest.RaceEnabled {
+		t.Skip("allocation thresholds are not meaningful under -race")
+	}
+	measure := func(n int) (allocs float64, resubs int) {
+		allocs = testing.AllocsPerRun(3, func() { resubs = resubmitPipeline(n) })
+		return allocs, resubs
+	}
+	smallAllocs, smallResubs := measure(200)
+	bigAllocs, bigResubs := measure(2200)
+	if bigResubs != 2200 || smallResubs != 200 {
+		t.Fatalf("resubmitted %d of 200 and %d of 2200 buffers, want all", smallResubs, bigResubs)
+	}
+	perResub := (bigAllocs - smallAllocs) / float64(bigResubs-smallResubs)
+	t.Logf("%.3f allocs per resubmission", perResub)
+	if perResub > 0.25 {
+		t.Errorf("%.3f allocs per resubmission, want <= 0.25", perResub)
+	}
+}

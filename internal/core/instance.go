@@ -22,12 +22,10 @@ const (
 // round on. The request names the device class that triggered it (Section
 // 5.3.2) so DBSA can select the best-suited data buffer.
 //
-// Stackless requesters pool their records (reqLoop.free), reply channel
-// included, and every step of the round — demand send, request hand-off,
-// reply wait, settle, and the sender's reply transmission — is a method
-// value bound when the record is created, so a round allocates nothing in
-// steady state. The blocking reference flavour builds a fresh record per
-// round.
+// Requesters pool their records (reqLoop.free), reply channel included, and
+// every step of the round — demand send, request hand-off, reply wait,
+// settle, and the sender's reply transmission — is a method value bound
+// when the record is created, so a round allocates nothing in steady state.
 type fetch struct {
 	l        *reqLoop
 	kind     hw.Kind
@@ -40,8 +38,7 @@ type fetch struct {
 	next sim.Step // run after settling: DoneStep, or the serial requester's loop
 	rep  reply    // sender side: the answer in transmission
 
-	// Steps of the stackless round, bound once when startFetch creates
-	// the record; unset on the blocking flavour's records.
+	// Steps of the round, bound once when startFetch creates the record.
 	demandStep, handoffStep, awaitStep sim.Step
 	transmitStep, deliverStep          sim.Step
 	settleStep                         func(*sim.Env, reply, bool) sim.Cont
@@ -55,8 +52,8 @@ type reply struct {
 
 // sender is the producer side of a stream at one filter instance: the
 // SendQueue plus the ThreadBufferQueuer/ThreadBufferSender pair of
-// Algorithms 4 and 5 (queuing happens inline in push; the sender process
-// answers requests).
+// Algorithms 4 and 5 (queuing happens inline in push; the sender process,
+// runStep, answers requests).
 type sender struct {
 	inst  *Instance
 	name  string // proc name, precomputed at construction
@@ -64,7 +61,7 @@ type sender struct {
 	parts []*policy.Queue // per-consumer partitions (labeled streams only)
 	reqCh *sim.Chan[*fetch]
 	gen   *generator // non-nil for lazy source filters
-	// onRequest is gotRequest, bound once: the stackless serve loop's wait
+	// onRequest is gotRequest, bound once: the serve loop's wait
 	// continuation.
 	onRequest func(*sim.Env, *fetch, bool) sim.Cont
 }
@@ -154,8 +151,8 @@ func (s *sender) popFor(req *fetch) *task.Task {
 // answer serves one data request: refill the queue (lazy sources), select
 // the buffer with DBSA when the queue is sorted (FIFO otherwise), and build
 // the reply — a data buffer, an empty NACK, or EOF once the job completed.
-// It is the serial, non-blocking half of ThreadBufferSender (it mutates the
-// SendQueue), shared by both process flavours.
+// It is the serial, non-blocking half of ThreadBufferSender: it mutates the
+// SendQueue, so the serve loop calls it for one request at a time.
 func (s *sender) answer(now sim.Time, req *fetch) reply {
 	s.refill(now)
 	if t := s.popFor(req); t != nil {
@@ -178,36 +175,15 @@ func (rep reply) wireSize() int64 {
 	return ctrlMsgBytes
 }
 
-// run is ThreadBufferSender: serve data requests, selecting the buffer with
-// DBSA when the queue is sorted, FIFO otherwise. Buffer selection is
-// serial (it mutates the SendQueue); transmission is dispatched to its own
-// process so a bulk transfer to one consumer does not head-of-line block
-// every other consumer's request — the NIC model still serializes the
-// actual bytes, segment-interleaved.
-//
-// This is the blocking reference flavour (Tunables.BlockingHelpers); the
-// default stackless flavour is runStep.
-func (s *sender) run(e *sim.Env) {
-	rt := s.inst.rt
-	for {
-		f, ok := s.reqCh.Get(e)
-		if !ok {
-			return
-		}
-		rep := s.answer(e.Now(), f)
-		e.Spawn("send", func(se *sim.Env) {
-			rt.Cluster.Net.Send(se, s.inst.node, f.from, rep.wireSize())
-			f.reply.Put(se, rep)
-		})
-	}
-}
-
-// runStep is the stackless ThreadBufferSender: the same serve loop as run,
-// but waiting for the next request arms a continuation on the request
-// channel instead of parking a coroutine, and each reply transmission is a
-// spawned step chain on the round's fetch record (NIC serialization, then
-// the reply hand-off). Requests already queued are drained inline without
-// yielding, exactly as the blocking loop's non-blocking Get does.
+// runStep is ThreadBufferSender: serve data requests, selecting the buffer
+// with DBSA when the queue is sorted, FIFO otherwise. Buffer selection is
+// serial (it mutates the SendQueue); each reply transmission is spawned as
+// its own step chain on the round's fetch record (NIC serialization, then
+// the reply hand-off), so a bulk transfer to one consumer does not
+// head-of-line block every other consumer's request — the NIC model still
+// serializes the actual bytes, segment-interleaved. Requests already queued
+// are drained inline without yielding; waiting for the next one arms a
+// continuation on the request channel.
 func (s *sender) runStep(e *sim.Env) sim.Cont {
 	for {
 		f, ok := s.reqCh.TryGet()
@@ -405,6 +381,7 @@ type Instance struct {
 	workers   []*worker
 	rrQueue   int
 	resubRR   int
+	resubFree []*resub // pooled resubmission records
 	reclaimRR int
 	dead      bool      // fail-stop crashed (fault injection)
 	diedAt    sim.Time  // crash time, for reports
@@ -525,9 +502,6 @@ func (inst *Instance) buildWorkers() {
 	for _, w := range inst.workers {
 		w.procName = fmt.Sprintf("%s/%d/%s%d", inst.f.Name(), inst.idx, w.kind, w.tid)
 		w.fetchName = w.procName + "/fetch"
-		if w.exec != nil {
-			w.exec.BlockingProcs = inst.rt.tun.BlockingHelpers
-		}
 		for qi, is := range inst.inputs {
 			st := &reqState{static: is.s.pol.RequestSize}
 			if is.s.pol.Dynamic {
@@ -539,41 +513,25 @@ func (inst *Instance) buildWorkers() {
 	}
 }
 
-// start spawns the instance's processes. The per-message helpers — sender
-// serve loop and requester issue loop — run stackless by default; the
-// blocking flavours stay available behind Tunables.BlockingHelpers as the
-// reference implementation. Worker main loops and push-mode senders are
-// long-lived, genuinely stackful processes and always run as coroutines.
+// start spawns the instance's processes. The per-message ones — the
+// demand-driven sender's serve loop and each requester's issue loop — are
+// stackless step chains. Worker main loops and push-mode senders are
+// long-lived, genuinely stackful processes and run as coroutines.
 func (inst *Instance) start() {
-	blocking := inst.rt.tun.BlockingHelpers
-	if inst.out != nil {
-		s := inst.out
-		switch {
-		case inst.f.out.pol.Push:
+	if s := inst.out; s != nil {
+		if inst.f.out.pol.Push {
 			inst.rt.K.Spawn(s.name, s.runPush)
-		case blocking:
-			inst.rt.K.Spawn(s.name, s.run)
-		default:
+		} else {
 			inst.rt.K.SpawnStep(s.name, s.runStep)
 		}
 	}
 	for _, w := range inst.workers {
-		w := w
 		inst.rt.K.Spawn(w.name(), w.run)
-		for qi := range inst.inputs {
-			if inst.inputs[qi].s.pol.Push {
+		for qi, in := range inst.inputs {
+			if in.s.pol.Push {
 				continue // push streams have no demand side
 			}
-			qi := qi
-			if blocking {
-				inst.rt.K.Spawn(w.reqNames[qi], func(e *sim.Env) {
-					w.requester(e, qi)
-				})
-			} else {
-				inst.rt.K.SpawnStep(w.reqNames[qi], func(e *sim.Env) sim.Cont {
-					return w.requesterStep(e, qi)
-				})
-			}
+			inst.rt.K.SpawnStep(w.reqNames[qi], w.newReqLoop(qi).loopStep)
 		}
 	}
 }
@@ -880,22 +838,41 @@ func (inst *Instance) resubmit(e *sim.Env, o *task.Task) {
 	for len(src.in) > 0 {
 		src = src.in[0].from
 	}
-	tgt := src.instances[inst.resubRR%len(src.instances)]
-	inst.resubRR++
-	from, net := inst.node, inst.rt.Cluster.Net
-	if inst.rt.tun.BlockingHelpers {
-		e.Spawn("resubmit", func(ce *sim.Env) {
-			net.Send(ce, from, tgt.node, ctrlMsgBytes)
-			tgt.out.push(o)
-		})
-		return
+	var r *resub
+	if n := len(inst.resubFree); n > 0 {
+		r = inst.resubFree[n-1]
+		inst.resubFree[n-1] = nil
+		inst.resubFree = inst.resubFree[:n-1]
+	} else {
+		r = &resub{inst: inst}
+		r.sendStep, r.landStep = r.send, r.land
 	}
-	e.SpawnStep("resubmit", func(ce *sim.Env) sim.Cont {
-		return net.SendThen(ce, from, tgt.node, ctrlMsgBytes, func(ce *sim.Env) sim.Cont {
-			tgt.out.push(o)
-			return sim.Done()
-		})
-	})
+	r.tgt, r.t = src.instances[inst.resubRR%len(src.instances)], o
+	inst.resubRR++
+	e.SpawnStep("resubmit", r.sendStep)
+}
+
+// resub is one resubmission in flight: the control message to the root
+// source instance, then the push into its send queue. Records are pooled
+// per resubmitting Instance and their steps bound once, like fetch
+// records, so a resubmission allocates nothing in steady state.
+type resub struct {
+	inst               *Instance // the resubmitting instance; owns the pool
+	tgt                *Instance
+	t                  *task.Task
+	sendStep, landStep sim.Step
+}
+
+func (r *resub) send(ce *sim.Env) sim.Cont {
+	return r.inst.rt.Cluster.Net.SendThen(ce, r.inst.node, r.tgt.node, ctrlMsgBytes, r.landStep)
+}
+
+// land queues the buffer at the target and returns the record to its pool.
+func (r *resub) land(*sim.Env) sim.Cont {
+	r.tgt.out.push(r.t)
+	r.tgt, r.t = nil, nil
+	r.inst.resubFree = append(r.inst.resubFree, r)
+	return sim.Done()
 }
 
 // reqLoop is the state of one ThreadRequester (Algorithm 3): one worker's
@@ -907,11 +884,6 @@ func (inst *Instance) resubmit(e *sim.Env, o *task.Task) {
 // their network transfers. An upstream instance with nothing to send
 // answers with an empty message; after a full empty cycle the requester
 // backs off briefly before issuing more.
-//
-// Both process flavours run on this state — the blocking coroutine
-// (requester) keeps the literal loop of the paper, the stackless flavour
-// (requesterStep) arms a continuation at each blocking point — so the
-// issue and settle logic exists exactly once.
 type reqLoop struct {
 	w           *worker
 	inst        *Instance
@@ -924,12 +896,15 @@ type reqLoop struct {
 	emptyStreak int
 	eof         bool
 
-	// Stackless flavour only: the issue loop and the backoff timer's
-	// continuation, bound once, and the pool of finished fetch records.
+	// The issue loop and the backoff timer's continuation, bound once, and
+	// the pool of finished fetch records.
 	loopStep, backoffStep sim.Step
 	free                  []*fetch
 }
 
+// newReqLoop builds the worker's ThreadRequester for input stream qi; its
+// loopStep is the process body. Every filter has at least one instance, so
+// the stream has at least one upstream sender.
 func (w *worker) newReqLoop(qi int) *reqLoop {
 	inst := w.inst
 	st := w.reqStates[qi]
@@ -938,14 +913,14 @@ func (w *worker) newReqLoop(qi int) *reqLoop {
 	for _, si := range stream.from.instances {
 		senders = append(senders, si.out)
 	}
-	if len(senders) > 0 {
-		// Spread initial round-robin positions across consumers.
-		st.rrSender = inst.idx % len(senders)
-	}
-	return &reqLoop{
+	// Spread initial round-robin positions across consumers.
+	st.rrSender = inst.idx % len(senders)
+	l := &reqLoop{
 		w: w, inst: inst, rt: inst.rt, qi: qi,
 		st: st, stream: stream, senders: senders, backoff: minBackoff,
 	}
+	l.loopStep, l.backoffStep = l.loop, l.backedOff
+	return l
 }
 
 // pick selects the next upstream sender — round-robin by default, or by
@@ -974,9 +949,49 @@ func (l *reqLoop) senderView(i int) policy.PeerView {
 	return policy.PeerView{Node: s.inst.node.ID, Dead: s.inst.dead, Queued: s.queuedLen()}
 }
 
-// settle applies one fetch outcome to the requester's bookkeeping — the
-// receive half of Algorithm 3, shared by both process flavours.
-func (l *reqLoop) settle(fe *sim.Env, t0 sim.Time, rep reply, ok bool) {
+// startFetch takes a pooled record (or a new one, with its own reply
+// channel) for a round demanding from snd that runs next once settled. The
+// round starts when the record's demand step runs.
+func (l *reqLoop) startFetch(snd *sender, next sim.Step) *fetch {
+	var f *fetch
+	if n := len(l.free); n > 0 {
+		f = l.free[n-1]
+		l.free[n-1] = nil
+		l.free = l.free[:n-1]
+	} else {
+		f = &fetch{
+			l: l, kind: l.w.kind, from: l.inst.node, fromInst: l.inst.idx,
+			reply: sim.NewChan[reply](l.rt.K, 1),
+		}
+		f.demandStep, f.handoffStep, f.awaitStep = f.demand, f.handoff, f.await
+		f.transmitStep, f.deliverStep, f.settleStep = f.transmit, f.deliver, f.settled
+	}
+	f.snd, f.next = snd, next
+	return f
+}
+
+// demand opens the round: the demand message goes on the wire, then
+// handoff passes the request to the sender, await waits for the reply and
+// settled applies it — one step per blocking point.
+func (f *fetch) demand(fe *sim.Env) sim.Cont {
+	f.t0 = fe.Now()
+	return f.l.rt.Cluster.Net.SendThen(fe, f.from, f.snd.inst.node, ctrlMsgBytes, f.handoffStep)
+}
+
+func (f *fetch) handoff(fe *sim.Env) sim.Cont {
+	return f.snd.reqCh.PutThen(fe, f, f.awaitStep)
+}
+
+func (f *fetch) await(fe *sim.Env) sim.Cont {
+	return f.reply.GetThen(fe, f.settleStep)
+}
+
+// settled applies the round's reply to the requester's bookkeeping — the
+// receive half of Algorithm 3 — and returns the record to the requester's
+// pool: the sender let go of it when its reply put returned, and the reply
+// channel is empty again.
+func (f *fetch) settled(fe *sim.Env, rep reply, ok bool) sim.Cont {
+	l, next := f.l, f.next
 	w, st, inst, qi := l.w, l.st, l.inst, l.qi
 	switch {
 	case !ok || rep.eof:
@@ -990,7 +1005,7 @@ func (l *reqLoop) settle(fe *sim.Env, t0 sim.Time, rep reply, ok bool) {
 		inst.liveUpstream(qi).out.push(rep.t)
 		st.requestSize--
 	case rep.t != nil:
-		st.lastLatency = fe.Now() - t0
+		st.lastLatency = fe.Now() - f.t0
 		st.haveLatency = true
 		inst.fetcher[rep.t.ID] = st
 		inst.inputs[qi].queue.Push(rep.t)
@@ -1007,132 +1022,18 @@ func (l *reqLoop) settle(fe *sim.Env, t0 sim.Time, rep reply, ok bool) {
 		w.noteDemand(fe.Now(), qi, DemandEmpty, st.requestSize)
 	}
 	inst.demand.NotifyAll() // let the issuing loop reassess
-}
-
-// newFetch builds a fetch record for a round demanding from snd, with its
-// own reply channel.
-func (l *reqLoop) newFetch(snd *sender) *fetch {
-	return &fetch{
-		l: l, kind: l.w.kind, from: l.inst.node, fromInst: l.inst.idx,
-		reply: sim.NewChan[reply](l.rt.K, 1), snd: snd,
-	}
-}
-
-// fetchBlocking runs one fetch protocol round in a blocking process: ship
-// the demand message, hand the request to the sender, wait for the reply.
-func (l *reqLoop) fetchBlocking(fe *sim.Env, snd *sender) {
-	f := l.newFetch(snd)
-	f.t0 = fe.Now()
-	l.rt.Cluster.Net.Send(fe, l.inst.node, snd.inst.node, ctrlMsgBytes)
-	snd.reqCh.Put(fe, f)
-	rep, ok := f.reply.Get(fe)
-	l.settle(fe, f.t0, rep, ok)
-}
-
-// startFetch takes a pooled record (or a new one) for a stackless round
-// demanding from snd that runs next once settled. The round starts when
-// the record's demand step runs.
-func (l *reqLoop) startFetch(snd *sender, next sim.Step) *fetch {
-	var f *fetch
-	if n := len(l.free); n > 0 {
-		f = l.free[n-1]
-		l.free[n-1] = nil
-		l.free = l.free[:n-1]
-		f.snd = snd
-	} else {
-		f = l.newFetch(snd)
-		f.demandStep, f.handoffStep, f.awaitStep = f.demand, f.handoff, f.await
-		f.transmitStep, f.deliverStep, f.settleStep = f.transmit, f.deliver, f.settled
-	}
-	f.next = next
-	return f
-}
-
-// demand is the stackless form of fetchBlocking's round, one step per
-// blocking point: the demand message on the wire, then handoff, await and
-// settled.
-func (f *fetch) demand(fe *sim.Env) sim.Cont {
-	f.t0 = fe.Now()
-	return f.l.rt.Cluster.Net.SendThen(fe, f.from, f.snd.inst.node, ctrlMsgBytes, f.handoffStep)
-}
-
-func (f *fetch) handoff(fe *sim.Env) sim.Cont {
-	return f.snd.reqCh.PutThen(fe, f, f.awaitStep)
-}
-
-func (f *fetch) await(fe *sim.Env) sim.Cont {
-	return f.reply.GetThen(fe, f.settleStep)
-}
-
-// settled applies the reply and returns the record to the requester's pool:
-// the sender let go of it when its reply put returned, and the reply
-// channel is empty again.
-func (f *fetch) settled(fe *sim.Env, rep reply, ok bool) sim.Cont {
-	l, next := f.l, f.next
-	l.settle(fe, f.t0, rep, ok)
 	f.snd, f.next = nil, nil
 	l.free = append(l.free, f)
 	return next(fe)
 }
 
-// requester is the blocking reference flavour of ThreadRequester
-// (Tunables.BlockingHelpers); the default stackless flavour is
-// requesterStep.
-func (w *worker) requester(e *sim.Env, qi int) {
-	l := w.newReqLoop(qi)
-	if len(l.senders) == 0 {
-		return
-	}
-	st, inst, rt := l.st, l.inst, l.rt
-	for !rt.track.done.Fired() && !l.eof && !inst.dead {
-		if st.requestSize >= w.targetFor(st) {
-			inst.demand.Wait(e)
-			continue
-		}
-		if l.emptyStreak >= len(l.senders) {
-			l.emptyStreak = 0
-			e.Sleep(l.backoff)
-			if l.backoff < maxBackoff {
-				l.backoff *= 2
-			}
-			continue
-		}
-		snd := l.pick()
-		if snd == nil {
-			continue
-		}
-		st.requestSize++ // in transit counts toward the target
-		w.noteDemand(e.Now(), qi, DemandIssued, st.requestSize)
-		if rt.tun.SerialRequester {
-			// Ablation: the literal synchronous loop of Algorithm 3.
-			l.fetchBlocking(e, snd)
-			continue
-		}
-		e.Spawn(w.fetchName, func(fe *sim.Env) { l.fetchBlocking(fe, snd) })
-		// Yield so the fetch runs (deterministically) before the next
-		// issue decision; the fetch itself blocks on network latency.
-		e.Yield()
-	}
-}
-
-// requesterStep is the stackless ThreadRequester: the same issue loop as
-// requester, with every blocking point armed as a continuation — demand
-// headroom (condition wait), empty-cycle backoff (timer), and the fetch
-// protocol (a chain over demand send, request hand-off and reply wait).
-// Non-blocking transitions — dead producers, loop re-checks — stay inside
-// the inner for, exactly like the blocking loop's continue. The backoff is
-// doubled *after* the timer fires, as the blocking flavour does, because an
-// in-flight fetch that lands data mid-backoff resets it to the minimum.
-func (w *worker) requesterStep(e *sim.Env, qi int) sim.Cont {
-	l := w.newReqLoop(qi)
-	if len(l.senders) == 0 {
-		return sim.Done()
-	}
-	l.loopStep, l.backoffStep = l.loop, l.backedOff
-	return l.loop(e)
-}
-
-// loop is one pass of the stackless issue loop.
+// loop is one pass of the issue loop. Every blocking point arms a
+// continuation — demand headroom (condition wait), empty-cycle backoff
+// (timer), and the fetch protocol (a chain over demand send, request
+// hand-off and reply wait); non-blocking transitions — dead producers, loop
+// re-checks — stay inside the for. The backoff is doubled *after* the
+// timer fires (backedOff), because an in-flight fetch that lands data
+// mid-backoff resets it to the minimum.
 func (l *reqLoop) loop(e *sim.Env) sim.Cont {
 	w, st, inst, rt := l.w, l.st, l.inst, l.rt
 	for !rt.track.done.Fired() && !l.eof && !inst.dead {

@@ -76,9 +76,9 @@ func (l *Link) Degrade(latAdd sim.Time, bwMul float64) {
 }
 
 // Copy transfers bytes in the given direction, blocking the caller until the
-// transfer completes. Concurrency is achieved by issuing copies from
-// multiple processes (one per in-flight event), exactly how the transfer
-// controller in internal/xfer uses it.
+// transfer completes. Concurrent copies share the DMA engine's FIFO queue
+// and congest each other. internal/xfer calls Copy only from its
+// synchronous mode, one copy at a time; its async pipeline uses CopyThen.
 func (l *Link) Copy(e *sim.Env, bytes int64, dir Direction) {
 	if bytes < 0 {
 		panic("hw: negative transfer size")

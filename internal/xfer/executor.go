@@ -17,13 +17,6 @@ type Executor struct {
 	Dev   *hw.Device
 	Link  *hw.Link
 	Async bool
-	// BlockingProcs restores the pre-migration blocking-coroutine flavour
-	// of the per-transfer h2d/d2h processes the asynchronous pipeline
-	// spawns. The default (false) dispatches them as stackless step chains
-	// — same FIFO link arbitration, no coroutine switch per transfer. The
-	// flag exists as the reference implementation for differential tests
-	// (core.Tunables.BlockingHelpers plumbs it through).
-	BlockingProcs bool
 	// OnSpan, if set, is called after every pipeline span — one
 	// host-to-device copy, one kernel execution, or one device-to-host
 	// copy — with the span's virtual-time bounds. Nil costs nothing.
@@ -119,12 +112,10 @@ func (x *Executor) runSync(e *sim.Env, batch []*task.Task) {
 }
 
 func (x *Executor) runAsync(e *sim.Env, batch []*task.Task) {
-	// Phase 1: issue every host-to-device copy on its own CUDA stream. The
-	// per-transfer processes are stackless step chains by default — a copy
-	// is a link-queue hop plus a timed wait, no coroutine stack needed —
-	// with the blocking flavour kept behind BlockingProcs as the reference.
-	// Each buffer's transfers run on a pooled copyJob; the jobs of this
-	// batch are linked in batch order from head.
+	// Phase 1: issue every host-to-device copy on its own CUDA stream. Each
+	// transfer is a stackless step chain — a link-queue hop plus a timed
+	// wait, no coroutine stack needed — on the buffer's pooled copyJob; the
+	// jobs of this batch are linked in batch order from head.
 	var head, tail *copyJob
 	for _, t := range batch {
 		j := x.job(e.Kernel())
@@ -136,16 +127,7 @@ func (x *Executor) runAsync(e *sim.Env, batch []*task.Task) {
 			tail.link = j
 		}
 		tail = j
-		if x.BlockingProcs {
-			e.Spawn("h2d", func(ce *sim.Env) {
-				t0 := ce.Now()
-				x.Link.Copy(ce, j.size, hw.HostToDevice)
-				x.span(SpanH2D, t0, ce.Now(), j.size, j.id)
-				j.landed.Done()
-			})
-		} else {
-			e.SpawnStep("h2d", j.h2dStep)
-		}
+		e.SpawnStep("h2d", j.h2dStep)
 	}
 	// Phase 2: process events in order as their inputs arrive; the copy of
 	// event i+1 overlaps the kernel of event i.
@@ -161,25 +143,14 @@ func (x *Executor) runAsync(e *sim.Env, batch []*task.Task) {
 	if x.out == nil {
 		x.out = sim.NewWaitGroup(e.Kernel())
 	}
-	out := x.out
-	out.Add(len(batch))
+	x.out.Add(len(batch))
 	j = head
 	for _, t := range batch {
 		j.size = t.OutSize
-		if x.BlockingProcs {
-			j := j
-			e.Spawn("d2h", func(ce *sim.Env) {
-				t0 := ce.Now()
-				x.Link.Copy(ce, j.size, hw.DeviceToHost)
-				x.span(SpanD2H, t0, ce.Now(), j.size, j.id)
-				out.Done()
-			})
-		} else {
-			e.SpawnStep("d2h", j.d2hStep)
-		}
+		e.SpawnStep("d2h", j.d2hStep)
 		j = j.link
 	}
-	out.Wait(e)
+	x.out.Wait(e)
 	for j := head; j != nil; {
 		next := j.link
 		j.link = nil
